@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyProfile
 from .sounder import PdpProfile, SounderConfig
+from .waveform import plateau_peaks
 
 
 @dataclass(frozen=True)
@@ -27,36 +28,6 @@ class PathEstimate:
     def __post_init__(self):
         if self.power_db > 0:
             raise ConfigError("path powers are relative to the strongest, <= 0 dB")
-
-
-def _cyclic_maxima(values: np.ndarray) -> list[int]:
-    """Indices of cyclic local maxima; an equal-valued plateau counts once.
-
-    A plateau qualifies when the values flanking it (cyclically) are both
-    strictly lower; its center index represents it. Two equal peaks separated
-    by a valley are distinct plateaus and both count.
-    """
-    n = values.size
-    if n == 1:
-        return [0]
-    if np.all(values == values[0]):
-        return []  # constant profile: no structure
-    # rotate so index 0 starts a run; then no run wraps the boundary and
-    # cyclic neighbors are simply the adjacent runs
-    start = next(i for i in range(n) if values[i] != values[i - 1])
-    v = np.roll(values, -start)
-    maxima = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and v[j + 1] == v[i]:
-            j += 1
-        left = v[i - 1] if i > 0 else v[n - 1]
-        right = v[(j + 1) % n]
-        if left < v[i] and right < v[i]:
-            maxima.append(((i + j) // 2 + start) % n)
-        i = j + 1
-    return sorted(maxima)
 
 
 def extract_paths(pdp: PdpProfile, floor_db: float) -> list[PathEstimate]:
@@ -104,7 +75,7 @@ def extract_paths(pdp: PdpProfile, floor_db: float) -> list[PathEstimate]:
             return power[i]
         return float(np.min(power[arc]))
 
-    candidates = [k for k in _cyclic_maxima(power) if power[k] >= floor_db]
+    candidates = [k for k in plateau_peaks(power, cyclic=True) if power[k] >= floor_db]
     candidates.sort(key=lambda k: (-power[k], pdp.delays[k]))
 
     accepted: list[int] = []

@@ -20,6 +20,15 @@ from .errors import ConfigError, DelayExceedsDuration, InvalidSnr
 from .waveform import SampledWaveform
 
 
+def check_keys(section: dict, allowed: set, where: str) -> None:
+    """Reject a section that is not a JSON object or holds unknown keys."""
+    if not isinstance(section, dict):
+        raise ConfigError(f'"{where}" must be a JSON object')
+    unknown = sorted(set(section) - allowed)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
+
+
 @dataclass(frozen=True)
 class PathSpec:
     """One propagation path: delay in seconds, gain in dB, phase in radians."""
@@ -29,8 +38,8 @@ class PathSpec:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.delay < 0:
-            raise ConfigError(f"path delay must be >= 0, got {self.delay}")
+        if not (math.isfinite(self.delay) and self.delay >= 0):
+            raise ConfigError(f"path delay must be finite and >= 0, got {self.delay}")
         if not math.isfinite(self.gain_db):
             raise ConfigError(f"path gain must be finite, got {self.gain_db}")
         if not math.isfinite(self.phase):
@@ -106,6 +115,7 @@ class ChannelModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ChannelModel":
+        check_keys(obj, {"paths", "snr_db", "seed"}, "channel")
         try:
             raw_paths = obj["paths"]
         except KeyError:
@@ -114,6 +124,7 @@ class ChannelModel:
             raise ConfigError('channel JSON "paths" must be a nonempty list')
         paths = []
         for entry in raw_paths:
+            check_keys(entry, {"delay_ns", "gain_db", "phase_deg"}, "channel path")
             try:
                 delay_ns = float(entry["delay_ns"])
             except (KeyError, TypeError, ValueError):

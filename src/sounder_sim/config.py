@@ -19,9 +19,9 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 
-from .channel import ChannelModel
+from .channel import ChannelModel, check_keys
 from .errors import ConfigError
-from .pn import PnConfig, Structure, decode_controls
+from .pn import PnConfig, Structure, decode_controls, seed_from_hex
 from .sounder import Mode, SounderConfig
 
 SCHEMA_VERSION = 1
@@ -53,16 +53,8 @@ def parse_rate(value, name: str = "rate") -> float:
     return rate
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
-
-
 def _parse_pn(section, where: str = "pn") -> PnConfig:
-    if not isinstance(section, dict):
-        raise ConfigError(f'"{where}" must be a JSON object')
-    _check_keys(
+    check_keys(
         section,
         {"stages", "structure", "taps", "seed", "stage_select", "tap_word"},
         where,
@@ -76,13 +68,7 @@ def _parse_pn(section, where: str = "pn") -> PnConfig:
                 section["tap_word"],
                 structure=Structure(section.get("structure", "msrg")),
             )
-            seed_hex = section.get("seed")
-            if seed_hex:
-                val = int(str(seed_hex), 16)
-                cfg = replace(
-                    cfg, seed=tuple((val >> i) & 1 for i in range(cfg.stages))
-                )
-            return cfg
+            return replace(cfg, seed=seed_from_hex(section.get("seed"), cfg.stages))
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as err:
@@ -180,7 +166,7 @@ class RunSpec:
                 f"unsupported schema_version {version!r}; this tool reads"
                 f" version {SCHEMA_VERSION}"
             )
-        _check_keys(
+        check_keys(
             obj,
             {"schema_version", "pn", "pn_rx", "sounder", "channel",
              "extraction", "spectrum"},
@@ -199,9 +185,7 @@ class RunSpec:
         ppm = 0.0
         snd = obj.get("sounder")
         if snd is not None:
-            if not isinstance(snd, dict):
-                raise ConfigError('"sounder" must be a JSON object')
-            _check_keys(
+            check_keys(
                 snd,
                 {"alpha", "beta", "sample_rate", "lpf_cutoff", "capture",
                  "beta_ppm_error"},
@@ -227,11 +211,11 @@ class RunSpec:
             channel = ChannelModel.from_json_dict(obj["channel"])
 
         ext = obj.get("extraction") or {}
-        _check_keys(ext, {"periods", "bins_per_chip", "floor_db", "threads"},
-                    "extraction")
+        check_keys(ext, {"periods", "bins_per_chip", "floor_db", "threads"},
+                   "extraction")
         threads = ext.get("threads")
         sp = obj.get("spectrum") or {}
-        _check_keys(
+        check_keys(
             sp,
             {"samples_per_chip", "periods", "fft_size", "null_count", "chip_rate"},
             "spectrum",
@@ -306,19 +290,3 @@ class RunManifest:
             "outputs": list(self.outputs),
             "duration_s": self.duration_s,
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "RunManifest":
-        if obj.get("kind") != "run_manifest":
-            raise ConfigError('not a run manifest (missing kind="run_manifest")')
-        try:
-            return cls(
-                config=obj["config"],
-                seeds=dict(obj.get("seeds", {})),
-                derived=dict(obj.get("derived", {})),
-                outputs=tuple(obj.get("outputs", ())),
-                duration_s=float(obj.get("duration_s", 0.0)),
-                tool_version=str(obj.get("tool_version", "")),
-            )
-        except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError(f"bad run manifest: {err}") from None

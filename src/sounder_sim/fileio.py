@@ -1,12 +1,11 @@
-"""CSV and raw-binary export with atomic writes.
+"""CSV export with atomic writes.
 
 Columns and headers are fixed contracts consumed by downstream tooling:
   spectrum      freq_hz,power_db
   slow capture  slow_time_s,i,q,sync
   delay profile delay_ns,power_db
   path list     delay_ns,power_db,sidelobe_suspect
-Floats print with %.12g; raw waveforms are interleaved little-endian
-float32 (re, im) pairs.
+Floats print with %.12g.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from __future__ import annotations
 import os
 import tempfile
 from typing import Iterable
-
-import numpy as np
 
 
 def _fmt(x: float) -> str:
@@ -50,22 +47,6 @@ def write_csv(path: str, header: str, rows: Iterable[Iterable[float]]) -> None:
 
 def write_spectrum_csv(path: str, spectrum) -> None:
     write_csv(path, "freq_hz,power_db", zip(spectrum.freqs, spectrum.power_db))
-
-
-def write_waveform_csv(path: str, waveform) -> None:
-    write_csv(
-        path,
-        "time_s,re,im",
-        zip(waveform.times(), waveform.samples.real, waveform.samples.imag),
-    )
-
-
-def write_waveform_raw(path: str, waveform) -> None:
-    """Interleaved (re, im) little-endian float32 pairs, no header."""
-    flat = np.empty(2 * len(waveform), dtype="<f4")
-    flat[0::2] = waveform.samples.real.astype(np.float32)
-    flat[1::2] = waveform.samples.imag.astype(np.float32)
-    atomic_write_bytes(path, flat.tobytes())
 
 
 def write_slow_capture_csv(path: str, trace) -> None:

@@ -61,6 +61,24 @@ def _parse_code(code: int | str, width: int, name: str) -> int:
     return value
 
 
+def _tap_word(taps: Iterable[int]) -> int:
+    """Tap positions as a tap word: bit i-1 selects tap i."""
+    return sum(1 << (t - 1) for t in taps)
+
+
+def _word_taps(word: int) -> tuple[int, ...]:
+    """Tap positions 1..12 selected by a tap word, ascending."""
+    return tuple(i for i in range(1, 13) if word >> (i - 1) & 1)
+
+
+def seed_from_hex(seed_hex, stages: int) -> tuple[int, ...]:
+    """Seed bits in stage order from a hex string (stage 1 = LSB); () if unset."""
+    if not seed_hex:
+        return ()
+    val = int(str(seed_hex), 16)
+    return tuple((val >> i) & 1 for i in range(stages))
+
+
 @dataclass(frozen=True)
 class PnConfig:
     """Shift-register generator configuration.
@@ -116,10 +134,7 @@ class PnConfig:
                     f"stage_select {self.stage_select} implies "
                     f"{CHIP_STAGES_MIN + self.stage_select} stages, got {self.stages}"
                 )
-            word_taps = tuple(
-                sorted((i for i in range(1, 13) if self.tap_word >> (i - 1) & 1),
-                       reverse=True)
-            )
+            word_taps = _word_taps(self.tap_word)[::-1]
             if word_taps != taps:
                 raise ConfigError(f"tap_word selects {word_taps}, taps field says {taps}")
 
@@ -152,12 +167,7 @@ class PnConfig:
         stages = int(obj["stages"])
         structure = Structure(obj.get("structure", "msrg"))
         taps = tuple(int(t) for t in obj["taps"])
-        seed_hex = obj.get("seed")
-        if seed_hex:
-            val = int(str(seed_hex), 16)
-            seed = tuple((val >> i) & 1 for i in range(stages))
-        else:
-            seed = ()
+        seed = seed_from_hex(obj.get("seed"), stages)
         sel = obj.get("stage_select")
         word = obj.get("tap_word")
         return cls(
@@ -185,7 +195,7 @@ def decode_controls(
     sel = _parse_code(stage_select, 3, "stage_select")
     word = _parse_code(tap_word, 12, "tap_word")
     stages = CHIP_STAGES_MIN + sel
-    taps = tuple(i for i in range(1, 13) if word >> (i - 1) & 1)
+    taps = _word_taps(word)
     if not taps:
         raise EmptyTaps("tap_word selects no taps")
     high = [t for t in taps if t > stages]
@@ -210,18 +220,13 @@ def default_config(
     if stages not in DEFAULT_TAPS:
         raise ConfigError(f"no default tap set for stages={stages}")
     taps = DEFAULT_TAPS[stages]
-    word = sum(1 << (t - 1) for t in taps)
     return PnConfig(
         stages=stages,
         structure=structure,
         taps=taps,
         stage_select=stages - CHIP_STAGES_MIN,
-        tap_word=word,
+        tap_word=_tap_word(taps),
     )
-
-
-def _tap_mask(config: PnConfig) -> int:
-    return sum(1 << (t - 1) for t in config.taps)
 
 
 def _msrg_inject_mask(config: PnConfig) -> int:
@@ -237,7 +242,7 @@ def _step_int(state: int, config: PnConfig) -> tuple[int, int]:
     n = config.stages
     out = (state >> (n - 1)) & 1
     if config.structure is Structure.SSRG:
-        fb = (state & _tap_mask(config)).bit_count() & 1
+        fb = (state & _tap_word(config.taps)).bit_count() & 1
         nxt = ((state << 1) | fb) & ((1 << n) - 1)
     else:
         nxt = (state << 1) & ((1 << n) - 1)

@@ -33,10 +33,12 @@ from .errors import (
 )
 from .channel import ChannelModel
 from .pn import ChipSequence, PnConfig, generate_period
-from .waveform import SampledWaveform
+from .waveform import SampledWaveform, ratio_to_db
 
-DB_FLOOR = -300.0
-_BLOCK = 1 << 20  # streaming block length in samples
+# Streaming block length in samples. A block's three product rows (6 MiB)
+# stay below the 8 MiB one-row arrays of 1 << 20 samples: a larger freed
+# block raises glibc's mmap threshold and peak RSS with it.
+_BLOCK = 1 << 18
 
 
 class Mode(enum.Enum):
@@ -74,9 +76,10 @@ class SounderConfig:
     beta_ppm_error: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.beta < self.alpha):
-            raise InvalidRates(
-                f"need 0 < beta < alpha, got alpha={self.alpha!r}, beta={self.beta!r}"
+        sliding_factor(self.alpha, self.beta)
+        if not math.isfinite(self.beta_ppm_error):
+            raise ConfigError(
+                f"beta_ppm_error must be finite, got {self.beta_ppm_error!r}"
             )
         if self.sample_rate < 2 * self.alpha:
             raise InvalidRates(
@@ -91,8 +94,10 @@ class SounderConfig:
             )
         if self.capture is None:
             object.__setattr__(self, "capture", 5.25 * self.dilated_period)
-        if not self.capture > 0:
-            raise ConfigError(f"capture must be positive, got {self.capture}")
+        if not (math.isfinite(self.capture) and self.capture > 0):
+            raise ConfigError(
+                f"capture must be positive and finite, got {self.capture}"
+            )
 
     @property
     def gamma(self) -> float:
@@ -262,32 +267,34 @@ def sliding_correlate(received: SampledWaveform, cfg: SounderConfig) -> PdpTrace
     pole = math.exp(-2.0 * math.pi * cfg.lpf_cutoff / fs)
     b_coef = np.array([1.0 - pole])
     a_coef = np.array([1.0, -pole])
-    zi_i = np.zeros(1)
-    zi_q = np.zeros(1)
-    zi_s = np.zeros(1)
+    zi = np.zeros((3, 1))
     dec = cfg.decimation
     block = max(dec, (_BLOCK // dec) * dec)
 
-    parts_i, parts_q, parts_s = [], [], []
+    # rows: I product, Q product, sync product (local TX code times RX code);
+    # the RX code is staged in the sync row so no fourth block is live
+    products = np.empty((3, min(block, n_total)))
+    parts = []
     for start in range(0, n_total, block):
         stop = min(start + block, n_total)
         count = stop - start
-        r = _code_samples(table, start, count, rx_ratio)
-        s_local = _code_samples(table, start, count, tx_ratio)
         x = received.samples[start:stop]
-        yi, zi_i = lfilter(b_coef, a_coef, x.real * r, zi=zi_i)
-        yq, zi_q = lfilter(b_coef, a_coef, x.imag * r, zi=zi_q)
-        ys, zi_s = lfilter(b_coef, a_coef, s_local * r, zi=zi_s)
+        rows = products[:, :count]
+        rows[2] = _code_samples(table, start, count, rx_ratio)
+        np.multiply(x.real, rows[2], out=rows[0])
+        np.multiply(x.imag, rows[2], out=rows[1])
+        rows[2] *= _code_samples(table, start, count, tx_ratio)
+        y, zi = lfilter(b_coef, a_coef, rows, axis=-1, zi=zi)
         # full windows only; a trailing partial window (final block) is dropped
         whole = (count // dec) * dec
-        parts_i.append(yi[:whole].reshape(-1, dec).mean(axis=1))
-        parts_q.append(yq[:whole].reshape(-1, dec).mean(axis=1))
-        parts_s.append(ys[:whole].reshape(-1, dec).mean(axis=1))
+        parts.append(y[:, :whole].reshape(3, -1, dec).mean(axis=2))
+        del y  # or it stays live while the next block is filtered
+    i_out, q_out, sync = np.concatenate(parts, axis=1)
 
     return PdpTrace(
-        i_out=np.concatenate(parts_i),
-        q_out=np.concatenate(parts_q),
-        sync=np.concatenate(parts_s),
+        i_out=i_out,
+        q_out=q_out,
+        sync=sync,
         slow_rate=cfg.slow_rate,
         gamma=cfg.gamma,
         dilated_period=cfg.dilated_period,
@@ -411,7 +418,7 @@ def extract_pdp(
     if peak <= 0:
         raise NoSyncPeak("profile is identically zero")
     normalized = linear / peak
-    power_db = 10.0 * np.log10(np.maximum(normalized, 10.0 ** (DB_FLOOR / 10.0)))
+    power_db = ratio_to_db(normalized)
     delays = np.arange(n_bins) / (trace.alpha * bins_per_chip)
     return PdpProfile(
         delays=delays,
@@ -449,7 +456,7 @@ def fast_pdp_oracle(seq: ChipSequence, ch: ChannelModel) -> PdpProfile:
     if peak <= 0:
         raise ConfigError("channel annihilates the code; empty profile")
     normalized = linear / peak
-    power_db = 10.0 * np.log10(np.maximum(normalized, 10.0 ** (DB_FLOOR / 10.0)))
+    power_db = ratio_to_db(normalized)
     return PdpProfile(
         delays=np.arange(length) / chip_rate,
         power_db=power_db,

@@ -16,7 +16,12 @@ from scipy.signal import get_window
 from .errors import ConfigError, InsufficientLength, JitterTooLarge
 from .pn import ChipSequence
 
-DB_FLOOR = -300.0  # spectra are clipped here so log10 never sees zero
+DB_FLOOR = -300.0  # power ratios are clipped here so log10 never sees zero
+
+
+def ratio_to_db(ratio: np.ndarray) -> np.ndarray:
+    """10*log10 of a power ratio, clipped at DB_FLOOR."""
+    return 10.0 * np.log10(np.maximum(ratio, 10.0 ** (DB_FLOOR / 10.0)))
 
 
 @dataclass(frozen=True)
@@ -172,7 +177,7 @@ def power_spectrum(
     peak = float(power.max())
     if peak <= 0:
         raise ConfigError("all-zero waveform has no spectrum peak")
-    power_db = 10.0 * np.log10(np.maximum(power / peak, 10.0 ** (DB_FLOOR / 10.0)))
+    power_db = ratio_to_db(power / peak)
 
     line_spacing = None
     if period is not None:
@@ -188,24 +193,33 @@ def power_spectrum(
     )
 
 
-def _plateau_minima(values: np.ndarray) -> list[int]:
-    """Indices of local minima, treating equal-valued plateaus as one point.
+def plateau_peaks(values: np.ndarray, cyclic: bool) -> list[int]:
+    """Ascending center indices of local maxima; a plateau counts once.
 
-    A plateau counts only when both its flanking values exist and are
-    strictly greater, so runs touching either end of the array never count.
-    Returns the center index of each qualifying plateau.
+    A plateau (a run of equal values) qualifies when the values on both sides
+    of it are strictly lower. In a linear array a run touching either end has
+    one side only and never qualifies. A cyclic array wraps, so its first and
+    last runs are one run; a single sample is a peak and a constant array has
+    none. Pass -values for minima.
     """
-    n = values.size
-    minima = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[j + 1] == values[i]:
-            j += 1
-        if i > 0 and j < n - 1 and values[i - 1] > values[i] and values[j + 1] > values[i]:
-            minima.append((i + j) // 2)
-        i = j + 1
-    return minima
+    v = np.asarray(values)
+    n = v.size
+    if cyclic and n == 1:
+        return [0]
+    starts = np.flatnonzero(v[1:] != v[:-1]) + 1
+    if starts.size == 0:
+        return []
+    starts = np.concatenate(([0], starts))
+    ends = np.append(starts[1:], n) - 1
+    if cyclic and v[0] == v[-1]:
+        # the first run continues the last one across the seam
+        ends[-1] = ends[0] + n
+        starts, ends = starts[1:], ends[1:]
+    top = v[starts]
+    peak = (v[(starts - 1) % n] < top) & (v[(ends + 1) % n] < top)
+    if not cyclic:
+        peak[[0, -1]] = False
+    return np.sort((starts + ends)[peak] // 2 % n).tolist()
 
 
 def find_spectral_nulls(
@@ -243,7 +257,7 @@ def find_spectral_nulls(
 
     envelope = np.maximum(ps.power_db[idx], clip_db)
     found = []
-    for j in _plateau_minima(envelope):
+    for j in plateau_peaks(-envelope, cyclic=False):
         freq = float(ps.freqs[idx[j]])
         if freq > 0:
             found.append((float(envelope[j]), freq))

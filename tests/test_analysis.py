@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from sounder_sim.analysis import (
     PathEstimate,
-    _cyclic_maxima,
     extract_paths,
     instrument_metrics,
     rms_delay_spread,
@@ -23,6 +22,7 @@ from sounder_sim.channel import ChannelModel, PathSpec, identity_channel
 from sounder_sim.errors import ConfigError, EmptyProfile
 from sounder_sim.pn import default_config, generate_period
 from sounder_sim.sounder import PdpProfile, SounderConfig, fast_pdp_oracle
+from sounder_sim.waveform import plateau_peaks
 
 
 def synthetic_profile(power_db, bins_per_chip=4, alpha=1e6):
@@ -49,27 +49,27 @@ class TestPathEstimate:
 
 class TestCyclicMaxima:
     def test_single_peak(self):
-        assert _cyclic_maxima(np.array([0.0, 5.0, 1.0, 0.0])) == [1]
+        assert plateau_peaks(np.array([0.0, 5.0, 1.0, 0.0]), cyclic=True) == [1]
 
     def test_plateau_counts_once_at_center(self):
         v = np.array([0.0, 3.0, 3.0, 3.0, 1.0, 0.0])
-        assert _cyclic_maxima(v) == [2]
+        assert plateau_peaks(v, cyclic=True) == [2]
 
     def test_plateau_wrapping_the_boundary(self):
         v = np.array([4.0, 1.0, 0.0, 0.0, 1.0, 4.0, 4.0])
         # single plateau spanning indices 5, 6, 0: center is index 6
-        assert _cyclic_maxima(v) == [6]
+        assert plateau_peaks(v, cyclic=True) == [6]
 
     def test_equal_peaks_with_valleys_both_count(self):
         v = np.array([5.0, 0.0, 5.0, 0.0])
-        assert _cyclic_maxima(v) == [0, 2]
+        assert plateau_peaks(v, cyclic=True) == [0, 2]
 
     def test_constant_has_no_structure(self):
-        assert _cyclic_maxima(np.full(8, 2.0)) == []
+        assert plateau_peaks(np.full(8, 2.0), cyclic=True) == []
 
     def test_plateau_with_one_higher_flank_is_not_a_maximum(self):
         v = np.array([9.0, 3.0, 3.0, 0.0])
-        assert _cyclic_maxima(v) == [0]
+        assert plateau_peaks(v, cyclic=True) == [0]
 
 
 class TestExtractPaths:

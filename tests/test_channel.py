@@ -59,6 +59,11 @@ class TestModel:
         with pytest.raises(ConfigError):
             PathSpec(delay=-1e-9)
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_non_finite_delay_rejected(self, delay):
+        with pytest.raises(ConfigError):
+            PathSpec(delay=delay)
+
     def test_non_finite_snr_rejected(self):
         with pytest.raises(InvalidSnr):
             ChannelModel(paths=(PathSpec(0.0),), snr_db=float("inf"))
@@ -86,6 +91,22 @@ class TestModel:
             assert p.delay == pytest.approx(q.delay, rel=1e-12)
             assert p.gain_db == pytest.approx(q.gain_db, rel=1e-12)
             assert p.phase == pytest.approx(q.phase, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            {"paths": [{"delay_ns": 0, "phase": 90}]},  # the key is phase_deg
+            {"paths": [{"delay_ns": 0}], "snr": 10},  # the key is snr_db
+        ],
+    )
+    def test_json_unknown_keys_rejected(self, blob):
+        with pytest.raises(ConfigError, match="unknown key"):
+            ChannelModel.from_json_dict(blob)
+
+    @pytest.mark.parametrize("blob", [[{"delay_ns": 0}], {"paths": [5]}])
+    def test_json_non_object_rejected(self, blob):
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            ChannelModel.from_json_dict(blob)
 
     def test_json_missing_paths(self):
         with pytest.raises(ConfigError):

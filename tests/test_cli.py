@@ -5,11 +5,14 @@ without shelling out; one subprocess smoke test covers the module entry.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sounder_sim
 from sounder_sim.cli import main
 from sounder_sim.config import RunSpec, load_config, parse_rate
 from sounder_sim.errors import ConfigError
@@ -109,6 +112,15 @@ class TestRunSpec:
             RunSpec.from_json_dict({"pn": {"stages": 9, "taps": [9, 5]}, "pnn": {}})
         doc = desk_doc(extra_knob=1)
         with pytest.raises(ConfigError):
+            RunSpec.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "section", ["pn", "sounder", "channel", "extraction", "spectrum"]
+    )
+    def test_non_object_section_rejected(self, section):
+        doc = desk_doc()
+        doc[section] = 5
+        with pytest.raises(ConfigError, match="must be a JSON object"):
             RunSpec.from_json_dict(doc)
 
     def test_future_schema_rejected(self):
@@ -316,6 +328,32 @@ class TestSoundCommand:
         cfg = write_json(tmp_path / "cfg.json", desk_doc(capture=0.05))
         assert main(["sound", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize(
+        "override", [{"beta_ppm_error": "nan"}, {"capture": "inf"}]
+    )
+    def test_non_finite_sounder_value_exits_2(self, tmp_path, override):
+        cfg = write_json(tmp_path / "cfg.json", desk_doc(**override))
+        outdir = tmp_path / "o"
+        assert main(["sound", "--config", cfg, "--out", str(outdir)]) == 2
+        assert not outdir.exists() or not any(outdir.iterdir())
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            {"paths": [{"delay_ns": "nan"}]},
+            {"paths": [{"delay_ns": 0.0, "phase": 90.0}]},
+            {"paths": [{"delay_ns": 0.0}], "snr": 10.0},
+        ],
+    )
+    def test_bad_channel_file_exits_2(self, tmp_path, channel):
+        cfg = write_json(tmp_path / "cfg.json", desk_doc())
+        channel = write_json(tmp_path / "channel.json", channel)
+        outdir = tmp_path / "o"
+        code = main(["sound", "--config", cfg, "--channel", channel,
+                     "--out", str(outdir)])
+        assert code == 2
+        assert not outdir.exists() or not any(outdir.iterdir())
+
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SOUNDER_SIM_THREADS", "4")
         cfg = write_json(tmp_path / "cfg.json", desk_doc())
@@ -335,9 +373,13 @@ class TestSoundCommand:
 
 
 def test_module_entry_point():
+    # the child imports the package under test, installed or not
+    src = str(Path(sounder_sim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "sounder_sim.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0
     assert result.stdout.strip()

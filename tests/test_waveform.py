@@ -8,6 +8,8 @@ by direct peak search so the package's own bookkeeping is not trusted.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sounder_sim.errors import ConfigError, InsufficientLength, JitterTooLarge
 from sounder_sim.pn import ChipSequence, default_config, generate_period
@@ -16,8 +18,8 @@ from sounder_sim.waveform import (
     chips_to_waveform,
     find_spectral_nulls,
     inject_jitter,
+    plateau_peaks,
     power_spectrum,
-    _plateau_minima,
 )
 
 
@@ -159,11 +161,69 @@ class TestSpectralNulls:
 
     def test_plateau_rule(self):
         v = np.array([3.0, 1.0, 1.0, 2.0, 0.0, 5.0, 5.0])
-        assert _plateau_minima(v) == [1, 4]
+        assert plateau_peaks(-v, cyclic=False) == [1, 4]
         # runs touching either end never qualify
-        assert _plateau_minima(np.array([1.0, 1.0, 2.0])) == []
-        assert _plateau_minima(np.array([2.0, 1.0, 1.0])) == []
-        assert _plateau_minima(np.ones(5)) == []
+        assert plateau_peaks(-np.array([1.0, 1.0, 2.0]), cyclic=False) == []
+        assert plateau_peaks(-np.array([2.0, 1.0, 1.0]), cyclic=False) == []
+        assert plateau_peaks(-np.ones(5), cyclic=False) == []
+
+
+def _loop_linear_minima(values):
+    """Reference: centers of plateaus whose two neighbours are strictly greater."""
+    n = values.size
+    minima = []
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and values[j + 1] == values[i]:
+            j += 1
+        if i > 0 and j < n - 1 and values[i - 1] > values[i] and values[j + 1] > values[i]:
+            minima.append((i + j) // 2)
+        i = j + 1
+    return minima
+
+
+def _loop_cyclic_maxima(values):
+    """Reference: cyclic plateau maxima, found by rotating to a run start."""
+    n = values.size
+    if n == 1:
+        return [0]
+    if np.all(values == values[0]):
+        return []
+    start = next(i for i in range(n) if values[i] != values[i - 1])
+    v = np.roll(values, -start)
+    maxima = []
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and v[j + 1] == v[i]:
+            j += 1
+        left = v[i - 1] if i > 0 else v[n - 1]
+        right = v[(j + 1) % n]
+        if left < v[i] and right < v[i]:
+            maxima.append(((i + j) // 2 + start) % n)
+        i = j + 1
+    return sorted(maxima)
+
+
+# few distinct levels, so plateaus and seam-crossing runs are common
+_plateau_arrays = st.lists(
+    st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=1, max_size=11
+).map(np.array)
+
+
+class TestPlateauPeaks:
+    @settings(max_examples=500, deadline=None)
+    @given(_plateau_arrays)
+    def test_linear_matches_loop_scanner(self, v):
+        assert plateau_peaks(-v, cyclic=False) == _loop_linear_minima(v)
+        assert plateau_peaks(v, cyclic=False) == _loop_linear_minima(-v)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_plateau_arrays)
+    def test_cyclic_matches_loop_scanner(self, v):
+        assert plateau_peaks(v, cyclic=True) == _loop_cyclic_maxima(v)
+        assert plateau_peaks(-v, cyclic=True) == _loop_cyclic_maxima(-v)
 
 
 class TestJitter:
