@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DelayExceedsDuration, InvalidSnr
-from .waveform import SampledWaveform
+from .waveform import SampledWaveform, block_length
 
 
 def check_keys(section: dict, allowed: set, where: str) -> None:
@@ -162,27 +162,51 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
 
     Output has the input's length; each copy is shifted right by its delay
     rounded to the nearest sample (zero-fill at the head, tail truncated).
+    Paths and noise are added block by block into the one output array. The
+    noise takes all real parts from the seeded stream, then all imaginary
+    parts, which is the order of two whole-length standard_normal draws, so
+    block size cannot change the output.
     """
     n = len(w)
-    out = np.zeros(n, dtype=np.complex128)
+    shifted_gains = []
     for p in ch.paths:
         if p.delay >= w.duration:
             raise DelayExceedsDuration(
                 f"path delay {p.delay:g} s >= waveform duration {w.duration:g} s"
             )
         shift = int(round(p.delay * w.sample_rate))
-        if shift >= n:
-            continue
-        out[shift:] += p.complex_gain * w.samples[: n - shift]
-
+        if shift < n:
+            shifted_gains.append((shift, p.complex_gain))
+    # power first: its whole-capture |x| temporary is freed before out exists
     if ch.snr_db is not None:
         signal_power = w.power() * 10.0 ** (ch.strongest_gain_db / 10.0)
         noise_var = signal_power * 10.0 ** (-ch.snr_db / 10.0)
-        rng = np.random.default_rng(ch.rng_seed)
         scale = math.sqrt(noise_var / 2.0)
-        out = out + scale * (
-            rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        )
+
+    block = block_length()
+    out = np.zeros(n, dtype=np.complex128)
+    scratch = np.empty(min(block, n), dtype=np.complex128)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        for shift, gain in shifted_gains:
+            lo = max(start, shift)
+            if lo < stop:
+                copy = scratch[: stop - lo]
+                # gain first, as in gain * x: SIMD complex products can
+                # differ in the last bit when the operands are swapped
+                np.multiply(gain, w.samples[lo - shift : stop - shift], out=copy)
+                out[lo:stop] += copy
+
+    if ch.snr_db is not None:
+        rng = np.random.default_rng(ch.rng_seed)
+        draw = np.empty(min(block, n))
+        for part in (out.real, out.imag):
+            for start in range(0, n, block):
+                stop = min(start + block, n)
+                noise = draw[: stop - start]
+                rng.standard_normal(out=noise)
+                noise *= scale
+                part[start:stop] += noise
 
     return SampledWaveform(
         samples=out,

@@ -146,6 +146,7 @@ def cmd_sound(args) -> int:
     started = time.perf_counter()
     tx = tx_baseband(effective.sounder_config(Mode.TX))
     received = apply_channel(tx, channel)
+    del tx  # the correlator needs only the received copy
     trace = sliding_correlate(received, effective.sounder_config(Mode.RX))
     profile = extract_pdp(
         trace, periods, bins_per_chip=effective.bins_per_chip, threads=threads

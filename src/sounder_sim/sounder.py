@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -33,12 +34,10 @@ from .errors import (
 )
 from .channel import ChannelModel
 from .pn import ChipSequence, PnConfig, generate_period
-from .waveform import SampledWaveform, ratio_to_db
+from .waveform import SampledWaveform, block_length, ratio_to_db
 
-# Streaming block length in samples. A block's three product rows (6 MiB)
-# stay below the 8 MiB one-row arrays of 1 << 20 samples: a larger freed
-# block raises glibc's mmap threshold and peak RSS with it.
-_BLOCK = 1 << 18
+# The TX and received complex128 arrays are the only whole-capture arrays.
+_CAPTURE_BYTES_PER_SAMPLE = 32
 
 
 class Mode(enum.Enum):
@@ -48,9 +47,9 @@ class Mode(enum.Enum):
 
 def sliding_factor(alpha: float, beta: float) -> float:
     """gamma = alpha / (alpha - beta), the slow-time dilation ratio."""
-    if not (0 < beta < alpha):
+    if not (0 < beta < alpha < math.inf):
         raise InvalidRates(
-            f"need 0 < beta < alpha, got alpha={alpha!r}, beta={beta!r}"
+            f"need finite 0 < beta < alpha, got alpha={alpha!r}, beta={beta!r}"
         )
     return alpha / (alpha - beta)
 
@@ -81,12 +80,16 @@ class SounderConfig:
             raise ConfigError(
                 f"beta_ppm_error must be finite, got {self.beta_ppm_error!r}"
             )
+        if not math.isfinite(self.sample_rate):
+            raise InvalidRates(f"sample_rate must be finite, got {self.sample_rate!r}")
         if self.sample_rate < 2 * self.alpha:
             raise InvalidRates(
                 f"sample_rate {self.sample_rate:g} below Nyquist for alpha={self.alpha:g}"
             )
         if self.lpf_cutoff is None:
             object.__setattr__(self, "lpf_cutoff", 2.0 * (self.alpha - self.beta))
+        if not math.isfinite(self.lpf_cutoff):
+            raise InvalidRates(f"lpf_cutoff must be finite, got {self.lpf_cutoff!r}")
         if not self.lpf_cutoff > (self.alpha - self.beta):
             raise ConfigError(
                 f"lpf_cutoff {self.lpf_cutoff:g} must exceed alpha-beta ="
@@ -191,8 +194,31 @@ def _code_samples(
 ) -> np.ndarray:
     """Bipolar code sampled at indices start..start+count-1 of the chip clock."""
     n = np.arange(start, start + count, dtype=np.float64)
-    idx = np.floor(n * chips_per_sample).astype(np.int64) % table.size
+    n *= chips_per_sample
+    idx = np.floor(n, out=n).astype(np.int64)
+    idx %= table.size
     return table[idx]
+
+
+def _capture_samples(cfg: SounderConfig) -> int:
+    """Samples in cfg.capture, refused before allocation if they cannot fit.
+
+    The whole-capture arrays take _CAPTURE_BYTES_PER_SAMPLE per sample; a
+    capture needing more than the machine's physical memory is a config
+    error, not a job for the OOM killer.
+    """
+    samples = cfg.capture * cfg.sample_rate
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if samples * _CAPTURE_BYTES_PER_SAMPLE > memory:  # also true for inf
+        raise ConfigError(
+            f"capture of {samples:.4g} samples needs"
+            f" {samples * _CAPTURE_BYTES_PER_SAMPLE / 2**30:.4g} GiB;"
+            f" physical memory is {memory / 2**30:.4g} GiB"
+        )
+    count = int(round(samples))
+    if count < 1:
+        raise ConfigError("capture too short for even one sample")
+    return count
 
 
 def tx_baseband(cfg: SounderConfig) -> SampledWaveform:
@@ -203,13 +229,17 @@ def tx_baseband(cfg: SounderConfig) -> SampledWaveform:
     """
     if cfg.mode is not Mode.TX:
         raise ConfigError("tx_baseband needs a config with mode=TX")
+    count = _capture_samples(cfg)
     table = _bipolar_table(cfg.pn)
-    count = int(round(cfg.capture * cfg.sample_rate))
-    if count < 1:
-        raise ConfigError("capture too short for even one sample")
-    samples = _code_samples(
-        table, 0, count, cfg.alpha / cfg.sample_rate
-    ).astype(np.complex128)
+    chips_per_sample = cfg.alpha / cfg.sample_rate
+    samples = np.zeros(count, dtype=np.complex128)
+    real = samples.real
+    block = block_length()
+    for start in range(0, count, block):
+        stop = min(start + block, count)
+        real[start:stop] = _code_samples(
+            table, start, stop - start, chips_per_sample
+        )
     ratio = cfg.sample_rate / cfg.alpha
     integer_oversampling = ratio == int(ratio)
     return SampledWaveform(
@@ -269,7 +299,7 @@ def sliding_correlate(received: SampledWaveform, cfg: SounderConfig) -> PdpTrace
     a_coef = np.array([1.0, -pole])
     zi = np.zeros((3, 1))
     dec = cfg.decimation
-    block = max(dec, (_BLOCK // dec) * dec)
+    block = block_length(dec)
 
     # rows: I product, Q product, sync product (local TX code times RX code);
     # the RX code is staged in the sync row so no fourth block is live

@@ -18,6 +18,17 @@ from .pn import ChipSequence
 
 DB_FLOOR = -300.0  # power ratios are clipped here so log10 never sees zero
 
+# Streaming block length in samples, shared by the TX, channel and
+# correlator stages. The correlator's three product rows (6 MiB) stay below
+# the 8 MiB one-row arrays of 1 << 20 samples: a larger freed block raises
+# glibc's mmap threshold and peak RSS with it.
+BLOCK = 1 << 18
+
+
+def block_length(multiple: int = 1) -> int:
+    """Samples per streaming block: a whole number of multiple, near BLOCK."""
+    return max(multiple, (BLOCK // multiple) * multiple)
+
 
 def ratio_to_db(ratio: np.ndarray) -> np.ndarray:
     """10*log10 of a power ratio, clipped at DB_FLOOR."""
@@ -74,7 +85,8 @@ class SampledWaveform:
 
     def power(self) -> float:
         """Mean square magnitude."""
-        return float(np.mean(np.abs(self.samples) ** 2))
+        magnitude = np.abs(self.samples)
+        return float(np.mean(np.square(magnitude, out=magnitude)))
 
 
 @dataclass(frozen=True)

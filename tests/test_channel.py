@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import sounder_sim.waveform as waveform_mod
 from sounder_sim.channel import ChannelModel, PathSpec, apply_channel, identity_channel
 from sounder_sim.errors import ConfigError, DelayExceedsDuration, InvalidSnr
 from sounder_sim.pn import default_config, generate_period
@@ -25,6 +26,24 @@ def pn_wave():
 def shifted(x, k):
     out = np.zeros_like(x)
     out[k:] = x[: x.size - k]
+    return out
+
+
+def reference_apply_channel(w, ch):
+    """The whole-array formula the blocked apply_channel replaced."""
+    n = len(w)
+    out = np.zeros(n, dtype=np.complex128)
+    for p in ch.paths:
+        shift = int(round(p.delay * w.sample_rate))
+        if shift < n:
+            out[shift:] += p.complex_gain * w.samples[: n - shift]
+    if ch.snr_db is not None:
+        signal_power = float(np.mean(np.abs(w.samples) ** 2))
+        signal_power *= 10.0 ** (ch.strongest_gain_db / 10.0)
+        noise_var = signal_power * 10.0 ** (-ch.snr_db / 10.0)
+        rng = np.random.default_rng(ch.rng_seed)
+        scale = math.sqrt(noise_var / 2.0)
+        out = out + scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     return out
 
 
@@ -175,6 +194,30 @@ class TestApplyChannel:
         out_then_shift = shifted(apply_channel(pn_wave, ch).samples, k)
         shift_then_out = apply_channel(moved, ch).samples
         assert np.allclose(out_then_shift, shift_then_out, rtol=1e-15)
+
+    @pytest.mark.parametrize("block", [None, 1000])
+    @pytest.mark.parametrize("snr_db", [None, 15.0])
+    def test_matches_whole_array_formula(self, monkeypatch, block, snr_db):
+        if block is not None:
+            monkeypatch.setattr(waveform_mod, "BLOCK", block)
+        block = waveform_mod.block_length()
+        n = 2 * block + 345  # the last block is partial
+        rng = np.random.default_rng(8)
+        w = SampledWaveform(
+            samples=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+            sample_rate=1e9,
+        )
+        ch = ChannelModel(
+            paths=(
+                PathSpec(0.0, -1.0, 0.3),
+                PathSpec(17e-9, -4.0, 2.0),
+                PathSpec((block + 77) * 1e-9, -9.0, -1.1),  # beyond one block
+            ),
+            snr_db=snr_db,
+            rng_seed=21,
+        )
+        expect = reference_apply_channel(w, ch)
+        assert apply_channel(w, ch).samples.tobytes() == expect.tobytes()
 
     def test_noise_seeded_reproducible(self, pn_wave):
         ch = ChannelModel(paths=(PathSpec(0.0),), snr_db=10.0, rng_seed=99)

@@ -6,6 +6,7 @@ without shelling out; one subprocess smoke test covers the module entry.
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -336,6 +337,27 @@ class TestSoundCommand:
         outdir = tmp_path / "o"
         assert main(["sound", "--config", cfg, "--out", str(outdir)]) == 2
         assert not outdir.exists() or not any(outdir.iterdir())
+
+    @pytest.mark.parametrize("capture", [1e30, 1e300])
+    def test_capture_beyond_physical_memory_exits_2(self, tmp_path, capsys, capture):
+        cfg = write_json(tmp_path / "cfg.json", desk_doc(capture=capture))
+        outdir = tmp_path / "o"
+        assert main(["sound", "--config", cfg, "--out", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: capture of") and "Traceback" not in err
+        assert not any(outdir.iterdir())
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_output_modes_follow_umask(self, tmp_path, umask, mode):
+        cfg = write_json(tmp_path / "cfg.json", desk_doc())
+        outdir = tmp_path / "o"
+        previous = os.umask(umask)
+        try:
+            assert main(["sound", "--config", cfg, "--out", str(outdir)]) == 0
+        finally:
+            os.umask(previous)
+        for name in ("trace.csv", "profile.csv", "paths.csv", "manifest.json"):
+            assert stat.S_IMODE((outdir / name).stat().st_mode) == mode
 
     @pytest.mark.parametrize(
         "channel",

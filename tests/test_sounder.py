@@ -8,11 +8,12 @@ cyclic-correlation oracle, never by the streaming code under test.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-import sounder_sim.sounder as sounder_mod
+import sounder_sim.waveform as waveform_mod
 from sounder_sim.channel import ChannelModel, PathSpec, apply_channel, identity_channel
 from sounder_sim.errors import (
     CaptureTooShort,
@@ -107,6 +108,12 @@ class TestConfig:
         cfg = desk_config()
         assert cfg.capture == pytest.approx(5.25 * cfg.dilated_period)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "sample_rate", "lpf_cutoff"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, field, value):
+        with pytest.raises(InvalidRates):
+            desk_config(**{field: value})
+
     def test_beta_ppm_error(self):
         cfg = desk_config(beta_ppm_error=10.0)
         assert cfg.beta_effective == pytest.approx(0.995e6 * (1 + 1e-5))
@@ -118,6 +125,21 @@ class TestTxBaseband:
         _, _, rx_cfg = desk
         with pytest.raises(ConfigError):
             tx_baseband(rx_cfg)
+
+    @pytest.mark.parametrize("sample_rate", [4e6, 4.3e6])
+    def test_matches_whole_array_lookup(self, sample_rate):
+        # the one-shot chip lookup the blocked generator replaced
+        cfg = desk_config(sample_rate=sample_rate, capture=0.1)
+        count = int(round(cfg.capture * sample_rate))
+        n = np.arange(count, dtype=np.float64)
+        idx = np.floor(n * (cfg.alpha / sample_rate)).astype(np.int64) % PN9.length
+        expect = generate_period(PN9).bipolar()[idx].astype(np.complex128)
+        assert tx_baseband(cfg).samples.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("capture", [1e30, 1e300])
+    def test_capture_beyond_physical_memory_rejected(self, capture):
+        with pytest.raises(ConfigError, match="physical memory"):
+            tx_baseband(desk_config(capture=capture))
 
     def test_integer_oversampling_matches_repeat(self):
         cfg = desk_config(capture=511e-6)  # exactly one period
@@ -203,14 +225,26 @@ class TestSlidingCorrelate:
             sliding_correlate(short, rx_cfg)
 
     def test_block_size_does_not_change_results(self, desk, monkeypatch):
-        _, tx, rx_cfg = desk
-        clipped = SampledWaveform(samples=tx.samples[:900000], sample_rate=4e6)
-        full = sliding_correlate(clipped, rx_cfg)
-        monkeypatch.setattr(sounder_mod, "_BLOCK", 77777)
-        chunked = sliding_correlate(clipped, rx_cfg)
-        assert np.array_equal(full.i_out, chunked.i_out)
-        assert np.array_equal(full.q_out, chunked.q_out)
-        assert np.array_equal(full.sync, chunked.sync)
+        cfg, _, rx_cfg = desk
+        short = dataclasses.replace(cfg, capture=900000 / 4e6)
+        noisy = ChannelModel(
+            paths=(PathSpec(0.0), PathSpec(7e-6, -6.0, 1.0)), snr_db=20.0, rng_seed=4
+        )
+
+        def chain():
+            sent = tx_baseband(short)
+            received = apply_channel(sent, noisy)
+            return sent, received, sliding_correlate(received, rx_cfg)
+
+        full = chain()
+        monkeypatch.setattr(waveform_mod, "BLOCK", 77777)
+        chunked = chain()
+        assert len(full[0]) == 900000  # not a multiple of either block
+        for whole, blocked in zip(full[:2], chunked[:2]):
+            assert whole.samples.tobytes() == blocked.samples.tobytes()
+        assert np.array_equal(full[2].i_out, chunked[2].i_out)
+        assert np.array_equal(full[2].q_out, chunked[2].q_out)
+        assert np.array_equal(full[2].sync, chunked[2].sync)
 
     def test_sync_peaks_spaced_one_dilated_period(self, desk):
         trace, _ = run_channel(desk, identity_channel())
