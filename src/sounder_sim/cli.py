@@ -43,7 +43,7 @@ from .waveform import chips_to_waveform, find_spectral_nulls, power_spectrum
 
 
 def _emit_json(obj, out: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     if out:
         atomic_write_text(out, text)
     else:

@@ -230,6 +230,11 @@ class RunSpec:
                 chip_rate=(None if sp.get("chip_rate") is None
                            else parse_rate(sp["chip_rate"], "spectrum.chip_rate")),
             )
+            floor_db = float(ext.get("floor_db", -20.0))
+            if not math.isfinite(floor_db):
+                raise ConfigError(
+                    f"extraction.floor_db must be finite, got {ext['floor_db']!r}"
+                )
             return cls(
                 pn=pn,
                 alpha=alpha,
@@ -241,13 +246,13 @@ class RunSpec:
                 channel=channel,
                 periods=int(ext.get("periods", 4)),
                 bins_per_chip=int(ext.get("bins_per_chip", 1)),
-                floor_db=float(ext.get("floor_db", -20.0)),
+                floor_db=floor_db,
                 threads=None if threads is None else int(threads),
                 spectrum=spectrum,
             )
         except ConfigError:
             raise
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"config: {err}") from None
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -34,7 +33,12 @@ from .errors import (
 )
 from .channel import ChannelModel
 from .pn import ChipSequence, PnConfig, generate_period
-from .waveform import SampledWaveform, block_length, ratio_to_db
+from .waveform import (
+    SampledWaveform,
+    block_length,
+    ratio_to_db,
+    refuse_beyond_memory,
+)
 
 # The TX and received complex128 arrays are the only whole-capture arrays.
 _CAPTURE_BYTES_PER_SAMPLE = 32
@@ -189,32 +193,50 @@ def _bipolar_table(pn: PnConfig) -> np.ndarray:
     return table
 
 
-def _code_samples(
-    table: np.ndarray, start: int, count: int, chips_per_sample: float
-) -> np.ndarray:
-    """Bipolar code sampled at indices start..start+count-1 of the chip clock."""
-    n = np.arange(start, start + count, dtype=np.float64)
-    n *= chips_per_sample
-    idx = np.floor(n, out=n).astype(np.int64)
-    idx %= table.size
-    return table[idx]
+def _code_source(table: np.ndarray, chips_per_sample: float, span: int):
+    """code(start, count): the bipolar code at samples start..start+count-1.
+
+    Sample n carries chip floor(n * chips_per_sample) mod L, evaluated in
+    float64, for any count <= span. When chips_per_sample is 2**-k (k >= 0),
+    n * chips_per_sample is exact for n < 2**53 (captures, bounded by
+    physical memory, stay far below), so sample n carries chip (n >> k) mod L
+    and the samples repeat every L * 2**k. If that period fits in span,
+    code() returns a read-only slice of one tiled copy of the period, span
+    plus one period long; otherwise it evaluates the formula per sample.
+    """
+    mantissa, exponent = math.frexp(chips_per_sample)
+    shift = 1 - exponent  # chips_per_sample is 2**-shift if mantissa is 0.5
+    period = table.size << shift if mantissa == 0.5 and shift >= 0 else 0
+    tiled = None
+    if 0 < period <= span:
+        tiled = np.empty(span + period - 1)
+        tiled[:period] = np.repeat(table, 1 << shift)
+        filled = period  # a whole number of periods, so copies stay in phase
+        while filled < tiled.size:
+            copied = min(filled, tiled.size - filled)
+            tiled[filled : filled + copied] = tiled[:copied]
+            filled += copied
+        tiled.setflags(write=False)
+
+    def code(start: int, count: int) -> np.ndarray:
+        if tiled is not None:
+            offset = start % period
+            return tiled[offset : offset + count]
+        n = np.arange(start, start + count, dtype=np.float64)
+        n *= chips_per_sample
+        idx = np.floor(n, out=n).astype(np.int64)
+        idx %= table.size
+        return table[idx]
+
+    return code
 
 
 def _capture_samples(cfg: SounderConfig) -> int:
-    """Samples in cfg.capture, refused before allocation if they cannot fit.
-
-    The whole-capture arrays take _CAPTURE_BYTES_PER_SAMPLE per sample; a
-    capture needing more than the machine's physical memory is a config
-    error, not a job for the OOM killer.
-    """
+    """Samples in cfg.capture, refused before allocation if they cannot fit."""
     samples = cfg.capture * cfg.sample_rate
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if samples * _CAPTURE_BYTES_PER_SAMPLE > memory:  # also true for inf
-        raise ConfigError(
-            f"capture of {samples:.4g} samples needs"
-            f" {samples * _CAPTURE_BYTES_PER_SAMPLE / 2**30:.4g} GiB;"
-            f" physical memory is {memory / 2**30:.4g} GiB"
-        )
+    refuse_beyond_memory(
+        samples * _CAPTURE_BYTES_PER_SAMPLE, f"capture of {samples:.4g} samples"
+    )
     count = int(round(samples))
     if count < 1:
         raise ConfigError("capture too short for even one sample")
@@ -230,16 +252,13 @@ def tx_baseband(cfg: SounderConfig) -> SampledWaveform:
     if cfg.mode is not Mode.TX:
         raise ConfigError("tx_baseband needs a config with mode=TX")
     count = _capture_samples(cfg)
-    table = _bipolar_table(cfg.pn)
-    chips_per_sample = cfg.alpha / cfg.sample_rate
+    block = min(block_length(), count)
+    code = _code_source(_bipolar_table(cfg.pn), cfg.alpha / cfg.sample_rate, block)
     samples = np.zeros(count, dtype=np.complex128)
     real = samples.real
-    block = block_length()
     for start in range(0, count, block):
         stop = min(start + block, count)
-        real[start:stop] = _code_samples(
-            table, start, stop - start, chips_per_sample
-        )
+        real[start:stop] = code(start, stop - start)
     ratio = cfg.sample_rate / cfg.alpha
     integer_oversampling = ratio == int(ratio)
     return SampledWaveform(
@@ -290,30 +309,30 @@ def sliding_correlate(received: SampledWaveform, cfg: SounderConfig) -> PdpTrace
             f"dilated period ({cfg.dilated_period:g} s)"
         )
 
-    table = _bipolar_table(cfg.pn)
     fs = cfg.sample_rate
-    rx_ratio = cfg.beta_effective / fs
-    tx_ratio = cfg.alpha / fs
     pole = math.exp(-2.0 * math.pi * cfg.lpf_cutoff / fs)
     b_coef = np.array([1.0 - pole])
     a_coef = np.array([1.0, -pole])
     zi = np.zeros((3, 1))
     dec = cfg.decimation
-    block = block_length(dec)
+    block = min(block_length(dec), n_total)
+    table = _bipolar_table(cfg.pn)
+    rx_code = _code_source(table, cfg.beta_effective / fs, block)
+    tx_code = _code_source(table, cfg.alpha / fs, block)
 
     # rows: I product, Q product, sync product (local TX code times RX code);
     # the RX code is staged in the sync row so no fourth block is live
-    products = np.empty((3, min(block, n_total)))
+    products = np.empty((3, block))
     parts = []
     for start in range(0, n_total, block):
         stop = min(start + block, n_total)
         count = stop - start
         x = received.samples[start:stop]
         rows = products[:, :count]
-        rows[2] = _code_samples(table, start, count, rx_ratio)
+        rows[2] = rx_code(start, count)
         np.multiply(x.real, rows[2], out=rows[0])
         np.multiply(x.imag, rows[2], out=rows[1])
-        rows[2] *= _code_samples(table, start, count, tx_ratio)
+        rows[2] *= tx_code(start, count)
         y, zi = lfilter(b_coef, a_coef, rows, axis=-1, zi=zi)
         # full windows only; a trailing partial window (final block) is dropped
         whole = (count // dec) * dec
@@ -418,6 +437,11 @@ def extract_pdp(
     usable = usable[:periods_to_average]
 
     n_bins = trace.code_length * bins_per_chip
+    # float64 per bin: each segment's power twice (list and stack), plus
+    # about eight working arrays
+    refuse_beyond_memory(
+        n_bins * 8 * (2 * len(usable) + 8), f"profile of {n_bins:.4g} bins"
+    )
     # delay-bin index for each in-segment sample; identical for all segments.
     # The +0.5 centers bins on whole-chip delays so an on-grid path apex sits
     # mid-bin instead of on a bin edge.

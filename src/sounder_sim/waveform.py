@@ -8,6 +8,7 @@ a bin and the sinc^2 envelope nulls collapse to numerical zero.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,21 @@ BLOCK = 1 << 18
 def block_length(multiple: int = 1) -> int:
     """Samples per streaming block: a whole number of multiple, near BLOCK."""
     return max(multiple, (BLOCK // multiple) * multiple)
+
+
+def refuse_beyond_memory(nbytes: float, what: str) -> None:
+    """Raise ConfigError if what, needing nbytes, exceeds physical memory.
+
+    Called before allocating, so a size that cannot fit is a config error,
+    not a job for the OOM killer. nbytes may be a float: an overflow to inf
+    is refused too.
+    """
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise ConfigError(
+            f"{what} needs {nbytes / 2**30:.4g} GiB;"
+            f" physical memory is {memory / 2**30:.4g} GiB"
+        )
 
 
 def ratio_to_db(ratio: np.ndarray) -> np.ndarray:
@@ -136,6 +152,9 @@ def chips_to_waveform(
     if int(periods) != periods or periods < 1:
         raise ConfigError(f"periods must be an integer >= 1, got {periods}")
     m = int(samples_per_chip)
+    count = len(seq) * m * int(periods)
+    # the tiled float64 copy and its complex128 cast are live together
+    refuse_beyond_memory(count * 24, f"waveform of {count:.4g} samples")
     one = np.repeat(seq.bipolar(), m)
     samples = np.tile(one, int(periods)).astype(np.complex128)
     return SampledWaveform(

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import sounder_sim
-from sounder_sim.cli import main
+from sounder_sim.cli import _emit_json, main
 from sounder_sim.config import RunSpec, load_config, parse_rate
 from sounder_sim.errors import ConfigError
 from sounder_sim.pn import default_config
@@ -227,6 +227,33 @@ class TestSpectrumCommand:
         cfg = write_json(tmp_path / "cfg.json", {"pn": {"stages": 5, "taps": [5, 3]}})
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 2
 
+    @pytest.mark.parametrize("field", ["samples_per_chip", "periods"])
+    def test_waveform_beyond_physical_memory_exits_2(self, tmp_path, capsys, field):
+        cfg = write_json(
+            tmp_path / "cfg.json",
+            {"pn": {"stages": 11, "taps": [11, 8, 5, 2]},
+             "spectrum": {"chip_rate": "1 GHz", field: 1e12}},
+        )
+        outdir = tmp_path / "o"
+        code = main(["spectrum", "--config", cfg, "--out", str(outdir / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: waveform of") and "physical memory" in err
+        assert "Traceback" not in err
+        assert not outdir.exists()
+
+    def test_infinite_integer_setting_exits_2(self, tmp_path, capsys):
+        # JSON's 1e999 loads as inf, which int() refuses with OverflowError
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"pn": {"stages": 5, "taps": [5, 3]},'
+            ' "spectrum": {"chip_rate": "1 GHz", "samples_per_chip": 1e999}}',
+            encoding="utf-8",
+        )
+        out = str(tmp_path / "s.csv")
+        assert main(["spectrum", "--config", str(cfg), "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: config:")
+
 
 class TestMetricsCommand:
     def test_desk_scale(self, tmp_path, capsys):
@@ -346,6 +373,33 @@ class TestSoundCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: capture of") and "Traceback" not in err
         assert not any(outdir.iterdir())
+
+    @pytest.mark.parametrize("floor_db", ["-inf", "inf", "nan"])
+    def test_non_finite_floor_exits_2(self, tmp_path, capsys, floor_db):
+        doc = desk_doc()
+        doc["extraction"]["floor_db"] = floor_db
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        outdir = tmp_path / "o"
+        assert main(["sound", "--config", cfg, "--out", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: extraction.floor_db must be finite")
+        assert not outdir.exists() or not any(outdir.iterdir())
+
+    def test_profile_beyond_physical_memory_exits_2(self, tmp_path, capsys):
+        doc = desk_doc()
+        doc["extraction"]["bins_per_chip"] = 10**13
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        outdir = tmp_path / "o"
+        assert main(["sound", "--config", cfg, "--out", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: profile of") and "physical memory" in err
+        assert "Traceback" not in err
+        assert not any(outdir.iterdir())
+
+    def test_json_output_is_strict(self, tmp_path):
+        with pytest.raises(ValueError):
+            _emit_json({"floor_db": float("-inf")}, str(tmp_path / "m.json"))
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_output_modes_follow_umask(self, tmp_path, umask, mode):

@@ -12,7 +12,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sounder_sim.sounder as sounder_mod
 import sounder_sim.waveform as waveform_mod
 from sounder_sim.channel import ChannelModel, PathSpec, apply_channel, identity_channel
 from sounder_sim.errors import (
@@ -39,6 +42,19 @@ from sounder_sim.waveform import SampledWaveform, power_spectrum
 
 PN9 = default_config(9)
 CHIP = 1e-6  # desk-scale chip duration (alpha = 1 MHz)
+
+
+def per_sample_code(table, start, count, chips_per_sample):
+    """The per-sample float lookup the code source replaced, kept as reference."""
+    n = np.arange(start, start + count, dtype=np.float64)
+    n *= chips_per_sample
+    idx = np.floor(n, out=n).astype(np.int64)
+    idx %= table.size
+    return table[idx]
+
+
+def per_sample_source(table, chips_per_sample, span):
+    return lambda start, count: per_sample_code(table, start, count, chips_per_sample)
 
 
 def desk_config(**overrides):
@@ -177,6 +193,54 @@ class TestTxBaseband:
         assert (blocks == blocks[:, :1]).all()
 
 
+class TestCodeSource:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        chips_per_sample=st.one_of(
+            st.sampled_from([2.0**-k for k in range(1, 7)]),
+            st.floats(0.0, 0.5, exclude_min=True),
+            st.sampled_from([1 / 3, 1 / 5]),
+        ),
+        start=st.one_of(st.integers(0, 5000), st.integers(0, 2**40)),
+        span=st.integers(1, 4096),
+        total=st.integers(1, 10000),
+    )
+    def test_matches_per_sample_formula(
+        self, size, seed, chips_per_sample, start, span, total
+    ):
+        # walks start..start+total in span-sized calls: totals shorter than
+        # one period, longer than one call, and a partial last call
+        table = np.random.default_rng(seed).choice([-1.0, 1.0], size)
+        code = sounder_mod._code_source(table, chips_per_sample, span)
+        for s in range(start, start + total, span):
+            count = min(span, start + total - s)
+            expect = per_sample_code(table, s, count, chips_per_sample)
+            assert code(s, count).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("shift", range(7))
+    def test_power_of_two_ratio_slices_one_tiled_period(self, shift):
+        table = generate_period(PN9).bipolar()
+        period = 511 << shift
+        span = period + 1000
+        code = sounder_mod._code_source(table, 2.0**-shift, span)
+        block = code(3 * period - 7, span)
+        assert not block.flags.writeable  # a view of the tiled period
+        assert block.base.size <= span + period - 1
+        assert block.tobytes() == per_sample_code(
+            table, 3 * period - 7, span, 2.0**-shift
+        ).tobytes()
+
+    @pytest.mark.parametrize("chips_per_sample", [0.995 / 4, 1 / 3, 2.0**-3])
+    def test_other_ratios_and_long_periods_use_the_formula(self, chips_per_sample):
+        # 2**-3 with a 511-chip code repeats every 4088 samples, beyond span
+        code = sounder_mod._code_source(
+            generate_period(PN9).bipolar(), chips_per_sample, 4000
+        )
+        assert code(0, 4000).flags.writeable
+
+
 class TestRxCode:
     def test_origin_is_first_chip(self, desk):
         cfg, _, _ = desk
@@ -240,11 +304,36 @@ class TestSlidingCorrelate:
         monkeypatch.setattr(waveform_mod, "BLOCK", 77777)
         chunked = chain()
         assert len(full[0]) == 900000  # not a multiple of either block
+        # blocks must not start on whole TX code periods (511 chips x 4)
+        for multiple in (1, rx_cfg.decimation):
+            assert waveform_mod.block_length(multiple) % 2044
         for whole, blocked in zip(full[:2], chunked[:2]):
             assert whole.samples.tobytes() == blocked.samples.tobytes()
         assert np.array_equal(full[2].i_out, chunked[2].i_out)
         assert np.array_equal(full[2].q_out, chunked[2].q_out)
         assert np.array_equal(full[2].sync, chunked[2].sync)
+
+    @pytest.mark.parametrize(
+        "pn,alpha,beta,sample_rate",
+        [
+            (PN9, 1e6, 0.995e6, 4e6),
+            (PN9, 1e6, 0.995e6, 4.3e6),
+            (default_config(5), 1e9, 999.95e6, 2e9),  # gamma 20000
+        ],
+    )
+    def test_matches_per_sample_lookup(self, monkeypatch, pn, alpha, beta, sample_rate):
+        cfg = SounderConfig(pn=pn, alpha=alpha, beta=beta, sample_rate=sample_rate)
+        count = int(1.1 * cfg.dilated_period * sample_rate)  # a partial last block
+        rng = np.random.default_rng(5)
+        received = SampledWaveform(
+            samples=rng.standard_normal(count) + 1j * rng.standard_normal(count),
+            sample_rate=sample_rate,
+        )
+        fast = sliding_correlate(received, cfg)
+        monkeypatch.setattr(sounder_mod, "_code_source", per_sample_source)
+        reference = sliding_correlate(received, cfg)
+        for name in ("i_out", "q_out", "sync"):
+            assert getattr(fast, name).tobytes() == getattr(reference, name).tobytes()
 
     def test_sync_peaks_spaced_one_dilated_period(self, desk):
         trace, _ = run_channel(desk, identity_channel())
