@@ -30,6 +30,11 @@ class PathEstimate:
             raise ConfigError("path powers are relative to the strongest, <= 0 dB")
 
 
+def _sidelobe_floor_db(code_length: int) -> float:
+    """The code's flat autocorrelation sidelobe pedestal, -20*log10(L) dB."""
+    return -20.0 * math.log10(code_length)
+
+
 def extract_paths(pdp: PdpProfile, floor_db: float) -> list[PathEstimate]:
     """Pick multipath components out of a profile.
 
@@ -91,7 +96,7 @@ def extract_paths(pdp: PdpProfile, floor_db: float) -> list[PathEstimate]:
         if not merged:
             accepted.append(k)
 
-    pedestal = -20.0 * math.log10(pdp.code_length) if pdp.code_length > 1 else None
+    pedestal = _sidelobe_floor_db(pdp.code_length) if pdp.code_length > 1 else None
     paths = []
     for k in accepted:
         near_stronger = any(
@@ -119,7 +124,7 @@ def instrument_metrics(cfg: SounderConfig) -> dict:
         "max_unambiguous_delay_s": length / cfg.alpha,
         "gamma": cfg.gamma,
         "dilated_period_s": cfg.dilated_period,
-        "sidelobe_floor_db": -20.0 * math.log10(length),
+        "sidelobe_floor_db": _sidelobe_floor_db(length),
     }
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +21,50 @@ from .errors import ConfigError, DelayExceedsDuration, InvalidSnr
 from .waveform import SampledWaveform, block_length
 
 
-def check_keys(section: dict, allowed: set, where: str) -> None:
+def check_keys(section: dict, allowed, where: str) -> None:
     """Reject a section that is not a JSON object or holds unknown keys."""
     if not isinstance(section, dict):
         raise ConfigError(f'"{where}" must be a JSON object')
-    unknown = sorted(set(section) - allowed)
+    unknown = sorted(set(section).difference(allowed))
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
+
+
+def read_value(section: dict, key: str, converter, where: str, default=None):
+    """section[key] through converter, or default when the key is absent or null.
+
+    A value the converter refuses with TypeError, ValueError or OverflowError,
+    or one that converts to a non-finite float, is a ConfigError naming
+    where.key; a ConfigError the converter raises itself passes unchanged.
+    """
+    raw = section.get(key)
+    if raw is None:
+        return default
+    try:
+        value = converter(raw)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"config: {where}.{key}: {err}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where}.{key} must be finite, got {raw!r}")
+    return value
+
+
+def read_section(section, table: dict, where: str, defaults) -> dict:
+    """read_value of every table key; table maps allowed keys to converters.
+
+    An absent or null key takes defaults.get(key); a null section is empty.
+    """
+    section = {} if section is None else section
+    check_keys(section, table, where)
+    return {
+        key: read_value(section, key, converter, where, defaults.get(key))
+        for key, converter in table.items()
+    }
+
+
+_MAX_GAIN_DB = 20.0 * sys.float_info.max_10_exp  # 10 ** (dB / 20) stays finite
 
 
 @dataclass(frozen=True)
@@ -40,8 +78,11 @@ class PathSpec:
     def __post_init__(self):
         if not (math.isfinite(self.delay) and self.delay >= 0):
             raise ConfigError(f"path delay must be finite and >= 0, got {self.delay}")
-        if not math.isfinite(self.gain_db):
-            raise ConfigError(f"path gain must be finite, got {self.gain_db}")
+        if not -math.inf < self.gain_db <= _MAX_GAIN_DB:  # also refuses nan
+            raise ConfigError(
+                f"path gain must be finite and <= {_MAX_GAIN_DB:g} dB,"
+                f" got {self.gain_db}"
+            )
         if not math.isfinite(self.phase):
             raise ConfigError(f"path phase must be finite, got {self.phase}")
 
@@ -49,9 +90,26 @@ class PathSpec:
     def complex_gain(self) -> complex:
         return 10.0 ** (self.gain_db / 20.0) * cmath.exp(1j * self.phase)
 
-    @property
-    def delay_ns(self) -> float:
-        return self.delay * 1e9
+
+_PATH = {"delay_ns": float, "gain_db": float, "phase_deg": float}
+
+
+def _paths(entries) -> tuple[PathSpec, ...]:
+    """The PathSpecs of a channel document's "paths" list."""
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError('channel JSON "paths" must be a nonempty list')
+    paths = []
+    for i, entry in enumerate(entries):
+        where = f"channel.paths[{i}]"
+        f = read_section(entry, _PATH, where, {"gain_db": 0.0, "phase_deg": 0.0})
+        if f["delay_ns"] is None:
+            raise ConfigError(f'{where} needs a "delay_ns"')
+        paths.append(PathSpec(delay=f["delay_ns"] * 1e-9, gain_db=f["gain_db"],
+                              phase=math.radians(f["phase_deg"])))
+    return tuple(paths)
+
+
+_CHANNEL = {"paths": _paths, "snr_db": float, "seed": int}
 
 
 @dataclass(frozen=True)
@@ -74,6 +132,8 @@ class ChannelModel:
             raise ConfigError("channel needs at least one path")
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise InvalidSnr(f"snr_db must be finite or None, got {self.snr_db}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"noise seed must be >= 0, got {self.rng_seed}")
 
         merged: dict[float, complex] = {}
         scales: dict[float, float] = {}
@@ -115,33 +175,10 @@ class ChannelModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ChannelModel":
-        check_keys(obj, {"paths", "snr_db", "seed"}, "channel")
-        try:
-            raw_paths = obj["paths"]
-        except KeyError:
-            raise ConfigError('channel JSON needs a "paths" list') from None
-        if not isinstance(raw_paths, list) or not raw_paths:
-            raise ConfigError('channel JSON "paths" must be a nonempty list')
-        paths = []
-        for entry in raw_paths:
-            check_keys(entry, {"delay_ns", "gain_db", "phase_deg"}, "channel path")
-            try:
-                delay_ns = float(entry["delay_ns"])
-            except (KeyError, TypeError, ValueError):
-                raise ConfigError(f"bad path entry: {entry!r}") from None
-            paths.append(
-                PathSpec(
-                    delay=delay_ns * 1e-9,
-                    gain_db=float(entry.get("gain_db", 0.0)),
-                    phase=math.radians(float(entry.get("phase_deg", 0.0))),
-                )
-            )
-        snr = obj.get("snr_db")
-        return cls(
-            paths=tuple(paths),
-            snr_db=None if snr is None else float(snr),
-            rng_seed=int(obj.get("seed", 0)),
-        )
+        f = read_section(obj, _CHANNEL, "channel", {"seed": 0})
+        if f["paths"] is None:
+            raise ConfigError('channel JSON needs a "paths" list')
+        return cls(paths=f["paths"], snr_db=f["snr_db"], rng_seed=f["seed"])
 
     @classmethod
     def from_json_file(cls, path: str) -> "ChannelModel":
@@ -211,7 +248,6 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
     return SampledWaveform(
         samples=out,
         sample_rate=w.sample_rate,
-        start_time=w.start_time,
         chip_rate=w.chip_rate,
         chips_per_period=w.chips_per_period,
     )

@@ -17,9 +17,9 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
-from .channel import ChannelModel, check_keys
+from .channel import ChannelModel, check_keys, read_section
 from .errors import ConfigError
 from .pn import PnConfig, Structure, decode_controls, seed_from_hex
 from .sounder import Mode, SounderConfig
@@ -32,25 +32,28 @@ _RATE_RE = re.compile(
 _RATE_SCALE = {"": 1.0, "hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 
 
-def parse_rate(value, name: str = "rate") -> float:
+def _hz(value) -> float:
     """A frequency in Hz from a number or a unit-suffixed string."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{name}: expected a rate, got {value!r}")
-    if isinstance(value, (int, float)):
-        rate = float(value)
-    elif isinstance(value, str):
+    if isinstance(value, str):
         m = _RATE_RE.match(value)
         if not m:
-            raise ConfigError(
-                f'{name}: cannot parse {value!r} as a rate (try "999.95 MHz")'
-            )
-        suffix = (m.group(2) or "").lower()
-        rate = float(m.group(1)) * _RATE_SCALE[suffix]
+            raise ValueError(f'cannot parse {value!r} as a rate (try "999.95 MHz")')
+        rate = float(m.group(1)) * _RATE_SCALE[(m.group(2) or "").lower()]
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        rate = float(value)
     else:
-        raise ConfigError(f"{name}: expected a rate, got {value!r}")
+        raise TypeError(f"expected a rate, got {value!r}")
     if not math.isfinite(rate) or rate <= 0:
-        raise ConfigError(f"{name}: rate must be positive and finite, got {value!r}")
+        raise ValueError(f"rate must be positive and finite, got {value!r}")
     return rate
+
+
+def parse_rate(value, name: str = "rate") -> float:
+    """A frequency in Hz, as _hz; a refused value is a ConfigError naming name."""
+    try:
+        return _hz(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"{name}: {err}") from None
 
 
 def _parse_pn(section, where: str = "pn") -> PnConfig:
@@ -71,7 +74,7 @@ def _parse_pn(section, where: str = "pn") -> PnConfig:
             return replace(cfg, seed=seed_from_hex(section.get("seed"), cfg.stages))
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{where} section: {err}") from None
     raise ConfigError(
         f"{where} section needs either stages+taps or stage_select+tap_word"
@@ -87,6 +90,17 @@ class SpectrumSpec:
     fft_size: int | None = None
     null_count: int = 1
     chip_rate: float | None = None
+
+
+# Each section's keys and converters. A null or absent key takes its
+# RunSpec or SpectrumSpec field default: a dataclass keeps those defaults as
+# class attributes, so vars() of the class maps each key to its default.
+_SOUNDER = {"alpha": _hz, "beta": _hz, "sample_rate": _hz, "lpf_cutoff": _hz,
+            "capture": float, "beta_ppm_error": float}
+_EXTRACTION = {"periods": int, "bins_per_chip": int, "floor_db": float,
+               "threads": int}
+_SPECTRUM = {"samples_per_chip": int, "periods": int, "fft_size": int,
+             "null_count": int, "chip_rate": _hz}
 
 
 @dataclass(frozen=True)
@@ -126,30 +140,14 @@ class RunSpec:
     def to_json_dict(self) -> dict:
         doc: dict = {"schema_version": SCHEMA_VERSION, "pn": self.pn.to_json_dict()}
         if self.alpha is not None:
-            sounder = {"alpha": self.alpha, "beta": self.beta,
-                       "sample_rate": self.sample_rate}
-            if self.lpf_cutoff is not None:
-                sounder["lpf_cutoff"] = self.lpf_cutoff
-            if self.capture is not None:
-                sounder["capture"] = self.capture
-            if self.beta_ppm_error:
-                sounder["beta_ppm_error"] = self.beta_ppm_error
-            doc["sounder"] = sounder
+            # leave out unset settings (None) and a zero clock error; valid
+            # rates and captures are positive, so no other value is dropped
+            sounder = {key: getattr(self, key) for key in _SOUNDER}
+            doc["sounder"] = {key: value for key, value in sounder.items() if value}
         if self.channel is not None:
             doc["channel"] = self.channel.to_json_dict()
-        doc["extraction"] = {
-            "periods": self.periods,
-            "bins_per_chip": self.bins_per_chip,
-            "floor_db": self.floor_db,
-            "threads": self.threads,
-        }
-        doc["spectrum"] = {
-            "samples_per_chip": self.spectrum.samples_per_chip,
-            "periods": self.spectrum.periods,
-            "fft_size": self.spectrum.fft_size,
-            "null_count": self.spectrum.null_count,
-            "chip_rate": self.spectrum.chip_rate,
-        }
+        doc["extraction"] = {key: getattr(self, key) for key in _EXTRACTION}
+        doc["spectrum"] = asdict(self.spectrum)
         return doc
 
     @classmethod
@@ -181,79 +179,26 @@ class RunSpec:
                 " configuration and must be programmed identically"
             )
 
-        alpha = beta = sample_rate = lpf = capture = None
-        ppm = 0.0
-        snd = obj.get("sounder")
-        if snd is not None:
-            check_keys(
-                snd,
-                {"alpha", "beta", "sample_rate", "lpf_cutoff", "capture",
-                 "beta_ppm_error"},
-                "sounder",
-            )
-            if "alpha" not in snd or "beta" not in snd:
+        rates = {}
+        if obj.get("sounder") is not None:
+            rates = read_section(obj["sounder"], _SOUNDER, "sounder", vars(cls))
+            if rates["alpha"] is None or rates["beta"] is None:
                 raise ConfigError("sounder section needs alpha and beta")
-            alpha = parse_rate(snd["alpha"], "sounder.alpha")
-            beta = parse_rate(snd["beta"], "sounder.beta")
-            sample_rate = (
-                parse_rate(snd["sample_rate"], "sounder.sample_rate")
-                if "sample_rate" in snd and snd["sample_rate"] is not None
-                else 2.0 * alpha
-            )
-            if snd.get("lpf_cutoff") is not None:
-                lpf = parse_rate(snd["lpf_cutoff"], "sounder.lpf_cutoff")
-            if snd.get("capture") is not None:
-                capture = float(snd["capture"])
-            ppm = float(snd.get("beta_ppm_error", 0.0))
-
+            if rates["sample_rate"] is None:
+                rates["sample_rate"] = 2.0 * rates["alpha"]
         channel = None
         if obj.get("channel") is not None:
             channel = ChannelModel.from_json_dict(obj["channel"])
-
-        ext = obj.get("extraction") or {}
-        check_keys(ext, {"periods", "bins_per_chip", "floor_db", "threads"},
-                   "extraction")
-        threads = ext.get("threads")
-        sp = obj.get("spectrum") or {}
-        check_keys(
-            sp,
-            {"samples_per_chip", "periods", "fft_size", "null_count", "chip_rate"},
-            "spectrum",
+        spectrum = read_section(
+            obj.get("spectrum"), _SPECTRUM, "spectrum", vars(SpectrumSpec)
         )
-        try:
-            spectrum = SpectrumSpec(
-                samples_per_chip=int(sp.get("samples_per_chip", 4)),
-                periods=int(sp.get("periods", 1)),
-                fft_size=(None if sp.get("fft_size") is None
-                          else int(sp["fft_size"])),
-                null_count=int(sp.get("null_count", 1)),
-                chip_rate=(None if sp.get("chip_rate") is None
-                           else parse_rate(sp["chip_rate"], "spectrum.chip_rate")),
-            )
-            floor_db = float(ext.get("floor_db", -20.0))
-            if not math.isfinite(floor_db):
-                raise ConfigError(
-                    f"extraction.floor_db must be finite, got {ext['floor_db']!r}"
-                )
-            return cls(
-                pn=pn,
-                alpha=alpha,
-                beta=beta,
-                sample_rate=sample_rate,
-                lpf_cutoff=lpf,
-                capture=capture,
-                beta_ppm_error=ppm,
-                channel=channel,
-                periods=int(ext.get("periods", 4)),
-                bins_per_chip=int(ext.get("bins_per_chip", 1)),
-                floor_db=floor_db,
-                threads=None if threads is None else int(threads),
-                spectrum=spectrum,
-            )
-        except ConfigError:
-            raise
-        except (TypeError, ValueError, OverflowError) as err:
-            raise ConfigError(f"config: {err}") from None
+        return cls(
+            pn=pn,
+            channel=channel,
+            spectrum=SpectrumSpec(**spectrum),
+            **rates,
+            **read_section(obj.get("extraction"), _EXTRACTION, "extraction", vars(cls)),
+        )
 
 
 def load_config(path) -> RunSpec:

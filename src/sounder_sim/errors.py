@@ -1,4 +1,6 @@
-"""Exception types shared across the simulator modules."""
+"""Exception types shared across the simulator modules, and the memory refusal."""
+
+import os
 
 
 class SounderSimError(Exception):
@@ -70,3 +72,18 @@ class NoSyncPeak(SounderSimError):
 
 class EmptyProfile(SounderSimError):
     """Power-delay profile holds no bins."""
+
+
+def refuse_beyond_memory(nbytes: float, what: str) -> None:
+    """Raise ConfigError if what, needing nbytes, exceeds physical memory.
+
+    Called before allocating, so a size that cannot fit is a config error,
+    not a job for the OOM killer. nbytes may be a float: an overflow to inf
+    is refused too.
+    """
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise ConfigError(
+            f"{what} needs {nbytes / 2**30:.4g} GiB;"
+            f" physical memory is {memory / 2**30:.4g} GiB"
+        )

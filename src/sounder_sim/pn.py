@@ -22,10 +22,12 @@ from .errors import (
     EmptyTaps,
     NotMaximal,
     TapOutOfRange,
+    refuse_beyond_memory,
 )
 
 CHIP_STAGES_MIN = 5
 CHIP_STAGES_MAX = 12
+STAGES_MAX = 64  # analysis configs only: a longer period can never be held
 
 # One known-primitive tap set per programmable stage count, verified maximal
 # by period measurement in the test suite (both MSRG and SSRG).
@@ -97,8 +99,8 @@ class PnConfig:
     tap_word: int | None = None
 
     def __post_init__(self):
-        if self.stages < 2:
-            raise ConfigError(f"stages must be >= 2, got {self.stages}")
+        if not 2 <= self.stages <= STAGES_MAX:
+            raise ConfigError(f"stages must be in 2..{STAGES_MAX}, got {self.stages}")
         taps = tuple(sorted(set(int(t) for t in self.taps), reverse=True))
         if not taps:
             raise EmptyTaps("no feedback taps selected")
@@ -326,6 +328,7 @@ def generate_period(config: PnConfig, chip_rate: float = 1.0) -> ChipSequence:
     seed = config.seed_int()
     state = seed
     limit = config.length
+    refuse_beyond_memory(limit, f"code period of {limit:.4g} chips")
     out = np.empty(limit, dtype=np.uint8)
     for i in range(limit):
         state, chip = _step_int(state, config)

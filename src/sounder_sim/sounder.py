@@ -30,6 +30,7 @@ from .errors import (
     InvalidRates,
     NoSyncPeak,
     SampleRateMismatch,
+    refuse_beyond_memory,
 )
 from .channel import ChannelModel
 from .pn import ChipSequence, PnConfig, generate_period
@@ -37,7 +38,6 @@ from .waveform import (
     SampledWaveform,
     block_length,
     ratio_to_db,
-    refuse_beyond_memory,
 )
 
 # The TX and received complex128 arrays are the only whole-capture arrays.

@@ -8,13 +8,17 @@ a bin and the sinc^2 envelope nulls collapse to numerical zero.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import get_window
 
-from .errors import ConfigError, InsufficientLength, JitterTooLarge
+from .errors import (
+    ConfigError,
+    InsufficientLength,
+    JitterTooLarge,
+    refuse_beyond_memory,
+)
 from .pn import ChipSequence
 
 DB_FLOOR = -300.0  # power ratios are clipped here so log10 never sees zero
@@ -29,21 +33,6 @@ BLOCK = 1 << 18
 def block_length(multiple: int = 1) -> int:
     """Samples per streaming block: a whole number of multiple, near BLOCK."""
     return max(multiple, (BLOCK // multiple) * multiple)
-
-
-def refuse_beyond_memory(nbytes: float, what: str) -> None:
-    """Raise ConfigError if what, needing nbytes, exceeds physical memory.
-
-    Called before allocating, so a size that cannot fit is a config error,
-    not a job for the OOM killer. nbytes may be a float: an overflow to inf
-    is refused too.
-    """
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if nbytes > memory:
-        raise ConfigError(
-            f"{what} needs {nbytes / 2**30:.4g} GiB;"
-            f" physical memory is {memory / 2**30:.4g} GiB"
-        )
 
 
 def ratio_to_db(ratio: np.ndarray) -> np.ndarray:
@@ -62,7 +51,6 @@ class SampledWaveform:
 
     samples: np.ndarray
     sample_rate: float
-    start_time: float = 0.0
     chip_rate: float | None = None
     chips_per_period: int | None = None
 
@@ -95,9 +83,6 @@ class SampledWaveform:
         if m is None or self.chips_per_period is None:
             return None
         return m * self.chips_per_period
-
-    def times(self) -> np.ndarray:
-        return self.start_time + np.arange(self.samples.size) / self.sample_rate
 
     def power(self) -> float:
         """Mean square magnitude."""
@@ -134,9 +119,6 @@ class PowerSpectrum:
                 arr = np.asarray(arr, dtype=np.float64)
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
-
-    def peak_freq(self) -> float:
-        return float(self.freqs[int(np.argmax(self.power_db))])
 
 
 def chips_to_waveform(
@@ -340,7 +322,6 @@ def inject_jitter(
     return SampledWaveform(
         samples=samples,
         sample_rate=w.sample_rate,
-        start_time=w.start_time,
         chip_rate=w.chip_rate,
         chips_per_period=w.chips_per_period,
     )

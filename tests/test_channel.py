@@ -4,6 +4,7 @@ The superposition oracle builds the expected output by hand with numpy
 shifts so apply_channel's loop is checked against an independent route.
 """
 
+import dataclasses
 import json
 import math
 
@@ -11,7 +12,14 @@ import numpy as np
 import pytest
 
 import sounder_sim.waveform as waveform_mod
-from sounder_sim.channel import ChannelModel, PathSpec, apply_channel, identity_channel
+from sounder_sim.channel import (
+    ChannelModel,
+    PathSpec,
+    apply_channel,
+    identity_channel,
+    read_section,
+    read_value,
+)
 from sounder_sim.errors import ConfigError, DelayExceedsDuration, InvalidSnr
 from sounder_sim.pn import default_config, generate_period
 from sounder_sim.waveform import SampledWaveform, chips_to_waveform
@@ -83,6 +91,18 @@ class TestModel:
         with pytest.raises(ConfigError):
             PathSpec(delay=delay)
 
+    def test_linear_gain_overflow_rejected(self):
+        assert math.isfinite(abs(PathSpec(0.0, gain_db=6160.0).complex_gain))
+        with pytest.raises(ConfigError, match="path gain"):
+            PathSpec(0.0, gain_db=6200.0)
+
+    def test_negative_seed_rejected(self):
+        ch = identity_channel()
+        with pytest.raises(ConfigError, match="seed"):
+            ChannelModel(paths=ch.paths, rng_seed=-1)
+        with pytest.raises(ConfigError, match="seed"):
+            dataclasses.replace(ch, rng_seed=-1)
+
     def test_non_finite_snr_rejected(self):
         with pytest.raises(InvalidSnr):
             ChannelModel(paths=(PathSpec(0.0),), snr_db=float("inf"))
@@ -130,6 +150,39 @@ class TestModel:
     def test_json_missing_paths(self):
         with pytest.raises(ConfigError):
             ChannelModel.from_json_dict({"snr_db": 10})
+
+
+class TestReader:
+    def test_absent_or_null_takes_default(self):
+        assert read_value({}, "k", float, "s", 1.5) == 1.5
+        assert read_value({"k": None}, "k", float, "s", 1.5) == 1.5
+
+    def test_converted_value(self):
+        assert read_value({"k": "2.5"}, "k", float, "s") == 2.5
+
+    @pytest.mark.parametrize("raw", ["abc", [1], {"a": 1}, 1e999])
+    def test_refused_conversion_names_the_key(self, raw):
+        with pytest.raises(ConfigError, match=r"^config: s\.k: "):
+            read_value({"k": raw}, "k", int, "s")
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", 1e999])
+    def test_non_finite_float_names_the_key(self, raw):
+        with pytest.raises(ConfigError, match=r"^s\.k must be finite"):
+            read_value({"k": raw}, "k", float, "s")
+
+    def test_converter_config_error_passes_unchanged(self):
+        def refuse(raw):
+            raise InvalidSnr("own message")
+
+        with pytest.raises(InvalidSnr, match="^own message$"):
+            read_value({"k": 1}, "k", refuse, "s")
+
+    def test_section_table_is_the_key_set(self):
+        table = {"a": int, "b": float}
+        assert read_section(None, table, "s", {"b": 0.5}) == {"a": None, "b": 0.5}
+        assert read_section({"a": 3}, table, "s", {}) == {"a": 3, "b": None}
+        with pytest.raises(ConfigError, match="unknown key"):
+            read_section({"c": 1}, table, "s", {})
 
 
 class TestApplyChannel:

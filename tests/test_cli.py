@@ -12,12 +12,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sounder_sim
+from sounder_sim.channel import ChannelModel
 from sounder_sim.cli import _emit_json, main
 from sounder_sim.config import RunSpec, load_config, parse_rate
-from sounder_sim.errors import ConfigError
+from sounder_sim.errors import ConfigError, SounderSimError
 from sounder_sim.pn import default_config
+from sounder_sim.sounder import Mode
 
 
 def write_json(path, obj):
@@ -145,6 +149,73 @@ class TestRunSpec:
         spec = RunSpec.from_json_dict({"pn": {"stages": 9, "taps": [9, 5]}})
         with pytest.raises(ConfigError):
             spec.sounder_config()
+
+
+# Any JSON value: what json.load can hand the config reader, inf and nan
+# included (Python's json reads 1e999 and NaN).
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6) | st.sampled_from(["1 MHz", "-3 kHz", "1e999", "nan", "0x1f"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+SECTION_KEYS = {
+    "pn": ["stages", "structure", "taps", "seed", "stage_select", "tap_word"],
+    "sounder": ["alpha", "beta", "sample_rate", "lpf_cutoff", "capture",
+                "beta_ppm_error"],
+    "channel": ["paths", "snr_db", "seed"],
+    "extraction": ["periods", "bins_per_chip", "floor_db", "threads"],
+    "spectrum": ["samples_per_chip", "periods", "fft_size", "null_count",
+                 "chip_rate"],
+}
+PATH_KEYS = ["delay_ns", "gain_db", "phase_deg"]
+
+
+def channel_doc():
+    return {"paths": [{"delay_ns": 0.0},
+                      {"delay_ns": 7000.0, "gain_db": -6.0, "phase_deg": 90.0}],
+            "snr_db": 20.0, "seed": 3}
+
+
+def overrides(keys):
+    """Some of keys, each set to an arbitrary JSON value."""
+    return st.fixed_dictionaries({}, optional={key: json_values for key in keys})
+
+
+class TestFuzzedDocuments:
+    """Arbitrary JSON values load or refuse with a SounderSimError, nothing else."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(section=st.sampled_from(sorted(SECTION_KEYS)), data=st.data())
+    def test_config_section_values(self, section, data):
+        doc = desk_doc()
+        doc["channel"] = channel_doc()
+        doc["spectrum"] = {"chip_rate": "1 MHz"}
+        # the code is programmed by taps or by control words; fuzz both forms
+        doc["pn"] = data.draw(st.sampled_from(
+            [{"stages": 9, "taps": [9, 5]},
+             {"stage_select": "100", "tap_word": "000100010000"}]
+        ))
+        doc[section].update(data.draw(overrides(SECTION_KEYS[section])))
+        try:
+            spec = RunSpec.from_json_dict(doc)
+            spec.sounder_config(Mode.RX)
+            spec.sounder_config(Mode.TX)
+        except SounderSimError:
+            pass
+
+    @settings(max_examples=400, deadline=None)
+    @given(top=overrides(SECTION_KEYS["channel"]), path=overrides(PATH_KEYS))
+    def test_channel_values(self, top, path):
+        doc = channel_doc()
+        doc["paths"][1].update(path)
+        doc.update(top)
+        try:
+            ChannelModel.from_json_dict(doc)
+        except SounderSimError:
+            pass
 
 
 class TestPnCommands:
@@ -429,6 +500,58 @@ class TestSoundCommand:
                      "--out", str(outdir)])
         assert code == 2
         assert not outdir.exists() or not any(outdir.iterdir())
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("sounder", "capture", "abc"),
+            ("sounder", "capture", [1]),
+            ("sounder", "beta_ppm_error", "abc"),
+            ("path", "gain_db", "abc"),
+            ("path", "gain_db", 6200),
+            ("path", "phase_deg", [1]),
+            ("channel", "snr_db", "abc"),
+            ("channel", "seed", "abc"),
+            ("channel", "seed", -1),
+            ("flag", "--seed", "-1"),
+            ("pn", "stages", 64),
+            ("pn", "stages", "1e999"),
+        ],
+    )
+    def test_bad_value_exits_2_with_one_error_line(
+        self, tmp_path, capsys, section, key, value
+    ):
+        doc = desk_doc()
+        doc["channel"] = channel_doc()
+        argv = []
+        if section == "flag":
+            argv = [key, value]
+        elif section == "path":
+            doc["channel"]["paths"][1][key] = value
+        elif section == "pn":
+            doc["pn"] = {key: value, "taps": [64, 63, 61, 60]}
+        else:
+            doc[section][key] = value
+        # 1e999 written as such: JSON has no infinity, Python's reader gives inf
+        text = json.dumps(doc).replace('"1e999"', "1e999")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        outdir = tmp_path / "o"
+        code = main(["sound", "--config", str(cfg), "--out", str(outdir)] + argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not outdir.exists() or not any(outdir.iterdir())
+
+    def test_wrong_type_names_section_and_key(self, tmp_path, capsys):
+        doc = desk_doc()
+        doc["channel"] = channel_doc()
+        doc["channel"]["paths"][1]["gain_db"] = "abc"
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main(["sound", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: channel.paths[1].gain_db:")
 
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SOUNDER_SIM_THREADS", "4")

@@ -121,6 +121,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PnConfig(stages=5, taps=(5, 3), stage_select=1, tap_word=0b10100)
 
+    @pytest.mark.parametrize("stages", [65, 10**9])
+    def test_stage_count_beyond_limit_rejected(self, stages):
+        # checked before the stages-long default seed tuple is built
+        with pytest.raises(ConfigError, match="stages must be in"):
+            PnConfig(stages=stages, taps=(stages, 1))
+
+    @pytest.mark.parametrize("stages", [48, 64])
+    def test_period_beyond_physical_memory_refused(self, stages):
+        cfg = PnConfig(stages=stages, taps=(stages, 1))
+        with pytest.raises(ConfigError, match="physical memory"):
+            generate_period(cfg)
+
 
 class TestMaximalLaws:
     @pytest.mark.parametrize("stages", ALL_STAGE_COUNTS)
