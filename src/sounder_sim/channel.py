@@ -30,6 +30,15 @@ def check_keys(section: dict, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
 
 
+def strict_int(value) -> int:
+    """A JSON integer: an int or an integral float; never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def read_value(section: dict, key: str, converter, where: str, default=None):
     """section[key] through converter, or default when the key is absent or null.
 
@@ -109,7 +118,7 @@ def _paths(entries) -> tuple[PathSpec, ...]:
     return tuple(paths)
 
 
-_CHANNEL = {"paths": _paths, "snr_db": float, "seed": int}
+_CHANNEL = {"paths": _paths, "snr_db": float, "seed": strict_int}
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .fileio import (
     write_spectrum_csv,
 )
 from .pn import generate_period, validate_m_sequence
-from .sounder import Mode, extract_pdp, sliding_correlate, tx_baseband
+from .sounder import Mode, extract_pdp, profile_bins, sliding_correlate, tx_baseband
 from .waveform import chips_to_waveform, find_spectral_nulls, power_spectrum
 
 
@@ -51,19 +51,21 @@ def _emit_json(obj, out: str | None) -> None:
 
 
 def _resolve_threads(flag: int | None, configured: int | None) -> int:
-    if flag is not None:
-        return flag
+    """The --threads flag, else $SOUNDER_SIM_THREADS, else the config, else 1."""
+    threads = flag
     env = os.environ.get("SOUNDER_SIM_THREADS")
-    if env:
+    if threads is None and env:
         try:
-            return int(env)
+            threads = int(env)
         except ValueError:
             raise ConfigError(
                 f"SOUNDER_SIM_THREADS must be an integer, got {env!r}"
             ) from None
-    if configured:
-        return configured
-    return 1
+    if threads is None:
+        threads = 1 if configured is None else configured
+    if threads < 1:
+        raise ConfigError(f"thread count must be >= 1, got {threads}")
+    return threads
 
 
 def cmd_pn_gen(args) -> int:
@@ -143,6 +145,7 @@ def cmd_sound(args) -> int:
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    profile_bins(spec.pn.length, periods, effective.bins_per_chip)
     started = time.perf_counter()
     tx = tx_baseband(effective.sounder_config(Mode.TX))
     received = apply_channel(tx, channel)

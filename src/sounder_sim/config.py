@@ -19,9 +19,9 @@ import math
 import re
 from dataclasses import asdict, dataclass, field, replace
 
-from .channel import ChannelModel, check_keys, read_section
+from .channel import ChannelModel, check_keys, read_section, strict_int
 from .errors import ConfigError
-from .pn import PnConfig, Structure, decode_controls, seed_from_hex
+from .pn import PnConfig, Structure, decode_controls
 from .sounder import Mode, SounderConfig
 
 SCHEMA_VERSION = 1
@@ -56,31 +56,6 @@ def parse_rate(value, name: str = "rate") -> float:
         raise ConfigError(f"{name}: {err}") from None
 
 
-def _parse_pn(section, where: str = "pn") -> PnConfig:
-    check_keys(
-        section,
-        {"stages", "structure", "taps", "seed", "stage_select", "tap_word"},
-        where,
-    )
-    try:
-        if "stages" in section or "taps" in section:
-            return PnConfig.from_json_dict(section)
-        if "stage_select" in section and "tap_word" in section:
-            cfg = decode_controls(
-                section["stage_select"],
-                section["tap_word"],
-                structure=Structure(section.get("structure", "msrg")),
-            )
-            return replace(cfg, seed=seed_from_hex(section.get("seed"), cfg.stages))
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"{where} section: {err}") from None
-    raise ConfigError(
-        f"{where} section needs either stages+taps or stage_select+tap_word"
-    )
-
-
 @dataclass(frozen=True)
 class SpectrumSpec:
     """Settings for spectrum export; chip_rate falls back to sounder alpha."""
@@ -97,10 +72,63 @@ class SpectrumSpec:
 # class attributes, so vars() of the class maps each key to its default.
 _SOUNDER = {"alpha": _hz, "beta": _hz, "sample_rate": _hz, "lpf_cutoff": _hz,
             "capture": float, "beta_ppm_error": float}
-_EXTRACTION = {"periods": int, "bins_per_chip": int, "floor_db": float,
-               "threads": int}
-_SPECTRUM = {"samples_per_chip": int, "periods": int, "fft_size": int,
-             "null_count": int, "chip_rate": _hz}
+_EXTRACTION = {"periods": strict_int, "bins_per_chip": strict_int,
+               "floor_db": float, "threads": strict_int}
+_SPECTRUM = {"samples_per_chip": strict_int, "periods": strict_int,
+             "fft_size": strict_int, "null_count": strict_int, "chip_rate": _hz}
+
+
+def _taps(value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of tap positions, got {value!r}")
+    return tuple(strict_int(tap) for tap in value)
+
+
+def _hex(value) -> int:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a hex string, got {value!r}")
+    return int(value, 16)
+
+
+def _control_word(value) -> int | str:
+    """A control word as an integer, or a binary string for decode_controls."""
+    return value if isinstance(value, str) else strict_int(value)
+
+
+_PN = {"stages": strict_int, "structure": Structure, "taps": _taps, "seed": _hex,
+       "stage_select": _control_word, "tap_word": _control_word}
+
+
+def _read_pn(section, where: str) -> PnConfig:
+    """The code a pn section programs by stages+taps, control words, or both.
+
+    When both forms are given they must describe the same code.
+    """
+    f = read_section(section, _PN, where, {"structure": Structure.MSRG})
+    for first, second in (("stages", "taps"), ("stage_select", "tap_word")):
+        if (f[first] is None) != (f[second] is None):
+            raise ConfigError(f"{where} section needs {first} and {second} together")
+    codes = []
+    try:
+        if f["stages"] is not None:
+            codes.append(PnConfig(f["stages"], f["structure"], f["taps"]))
+        if f["stage_select"] is not None:
+            codes.append(
+                decode_controls(f["stage_select"], f["tap_word"], f["structure"])
+            )
+    except ConfigError as err:  # a rule of the code itself; name the section
+        raise type(err)(f"{where} section: {err}") from None
+    if not codes:
+        raise ConfigError(f"{where} section needs stages+taps or stage_select+tap_word")
+    code, seed = codes[0], f["seed"]
+    if codes[-1] != code:
+        raise ConfigError(f"{where} section: stages/taps give taps {code.taps},"
+                          f" stage_select/tap_word give {codes[-1].taps}")
+    if seed is None:
+        return code
+    if seed >> code.stages:  # a negative seed is refused here too
+        raise ConfigError(f"{where}.seed {seed:#x} does not fit in {code.stages} bits")
+    return replace(code, seed=tuple((seed >> i) & 1 for i in range(code.stages)))
 
 
 @dataclass(frozen=True)
@@ -172,8 +200,8 @@ class RunSpec:
         )
         if "pn" not in obj:
             raise ConfigError('config needs a "pn" section')
-        pn = _parse_pn(obj["pn"])
-        if "pn_rx" in obj and _parse_pn(obj["pn_rx"], "pn_rx") != pn:
+        pn = _read_pn(obj["pn"], "pn")
+        if "pn_rx" in obj and _read_pn(obj["pn_rx"], "pn_rx") != pn:
             raise ConfigError(
                 "pn_rx differs from pn: both code generators share one code"
                 " configuration and must be programmed identically"

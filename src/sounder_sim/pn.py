@@ -11,6 +11,7 @@ t and t+1.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -57,7 +58,7 @@ def _parse_code(code: int | str, width: int, name: str) -> int:
             raise ConfigError(f"{name} must be a binary string, got {code!r}")
         value = int(code, 2)
     else:
-        value = int(code)
+        value = operator.index(code)  # an integer type; a float is refused
     if value < 0 or value >= (1 << width):
         raise ConfigError(f"{name} must fit in {width} bits, got {value}")
     return value
@@ -73,30 +74,20 @@ def _word_taps(word: int) -> tuple[int, ...]:
     return tuple(i for i in range(1, 13) if word >> (i - 1) & 1)
 
 
-def seed_from_hex(seed_hex, stages: int) -> tuple[int, ...]:
-    """Seed bits in stage order from a hex string (stage 1 = LSB); () if unset."""
-    if not seed_hex:
-        return ()
-    val = int(str(seed_hex), 16)
-    return tuple((val >> i) & 1 for i in range(stages))
-
-
 @dataclass(frozen=True)
 class PnConfig:
     """Shift-register generator configuration.
 
-    ``seed`` is the register content in stage order (index 0 = stage 1).
-    ``stage_select``/``tap_word`` are only populated for configurations that
-    map onto the chip's control codes (stages 5..12); analysis configs with
-    other stage counts leave them ``None``.
+    The four fields define the code, so two configs are equal exactly when
+    they generate the same chips. ``seed`` is the register content in stage
+    order (index 0 = stage 1). The chip's control words ``stage_select`` and
+    ``tap_word`` follow from stages and taps.
     """
 
     stages: int
     structure: Structure = Structure.MSRG
     taps: tuple[int, ...] = ()
     seed: tuple[int, ...] = ()
-    stage_select: int | None = None
-    tap_word: int | None = None
 
     def __post_init__(self):
         if not 2 <= self.stages <= STAGES_MAX:
@@ -122,28 +113,21 @@ class PnConfig:
             raise AllZeroState("all-zero seed would lock the generator")
         object.__setattr__(self, "seed", seed)
 
-        # Control codes, when present, must agree with the explicit fields.
-        if self.stage_select is not None or self.tap_word is not None:
-            if not CHIP_STAGES_MIN <= self.stages <= CHIP_STAGES_MAX:
-                raise ConfigError(
-                    f"control codes only cover stages {CHIP_STAGES_MIN}.."
-                    f"{CHIP_STAGES_MAX}, got {self.stages}"
-                )
-            if self.stage_select is None or self.tap_word is None:
-                raise ConfigError("stage_select and tap_word must be set together")
-            if self.stages != CHIP_STAGES_MIN + self.stage_select:
-                raise ConfigError(
-                    f"stage_select {self.stage_select} implies "
-                    f"{CHIP_STAGES_MIN + self.stage_select} stages, got {self.stages}"
-                )
-            word_taps = _word_taps(self.tap_word)[::-1]
-            if word_taps != taps:
-                raise ConfigError(f"tap_word selects {word_taps}, taps field says {taps}")
-
     @property
     def length(self) -> int:
         """Maximal sequence length 2^N - 1 for this stage count."""
         return (1 << self.stages) - 1
+
+    @property
+    def stage_select(self) -> int | None:
+        """The chip's 3-bit stage-select value; None outside stages 5..12."""
+        return None if self.tap_word is None else self.stages - CHIP_STAGES_MIN
+
+    @property
+    def tap_word(self) -> int | None:
+        """The chip's 12-bit tap word; None outside stages 5..12."""
+        on_chip = CHIP_STAGES_MIN <= self.stages <= CHIP_STAGES_MAX
+        return _tap_word(self.taps) if on_chip else None
 
     def seed_int(self) -> int:
         """Seed packed into an int, stage i in bit i-1 (stage 1 = LSB)."""
@@ -151,35 +135,15 @@ class PnConfig:
 
     def to_json_dict(self) -> dict:
         """JSON object form: {stages, structure, taps, seed(hex), codes(binary)}."""
+        on_chip = self.tap_word is not None
         return {
             "stages": self.stages,
             "structure": self.structure.value,
             "taps": list(self.taps),
             "seed": format(self.seed_int(), "x"),
-            "stage_select": (
-                None if self.stage_select is None else format(self.stage_select, "03b")
-            ),
-            "tap_word": (
-                None if self.tap_word is None else format(self.tap_word, "012b")
-            ),
+            "stage_select": format(self.stage_select, "03b") if on_chip else None,
+            "tap_word": format(self.tap_word, "012b") if on_chip else None,
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "PnConfig":
-        stages = int(obj["stages"])
-        structure = Structure(obj.get("structure", "msrg"))
-        taps = tuple(int(t) for t in obj["taps"])
-        seed = seed_from_hex(obj.get("seed"), stages)
-        sel = obj.get("stage_select")
-        word = obj.get("tap_word")
-        return cls(
-            stages=stages,
-            structure=structure,
-            taps=taps,
-            seed=seed,
-            stage_select=None if sel is None else _parse_code(sel, 3, "stage_select"),
-            tap_word=None if word is None else _parse_code(word, 12, "tap_word"),
-        )
 
 
 def decode_controls(
@@ -191,28 +155,13 @@ def decode_controls(
     """Decode the 3-bit stage select and 12-bit tap word into a PnConfig.
 
     stages = 5 + value(S<2:0>); bit i of SW<12:1> selects tap position i.
-    Set bits above the selected stage count raise TapOutOfRange, so
-    configuration mistakes surface immediately.
+    PnConfig raises EmptyTaps for a zero word and TapOutOfRange for set bits
+    above the selected stage count, so configuration mistakes surface
+    immediately.
     """
-    sel = _parse_code(stage_select, 3, "stage_select")
-    word = _parse_code(tap_word, 12, "tap_word")
-    stages = CHIP_STAGES_MIN + sel
-    taps = _word_taps(word)
-    if not taps:
-        raise EmptyTaps("tap_word selects no taps")
-    high = [t for t in taps if t > stages]
-    if high:
-        raise TapOutOfRange(
-            f"tap_word sets bit(s) {high} above the selected stage count {stages}"
-        )
-    return PnConfig(
-        stages=stages,
-        structure=structure,
-        taps=taps,
-        seed=tuple(seed),
-        stage_select=sel,
-        tap_word=word,
-    )
+    stages = CHIP_STAGES_MIN + _parse_code(stage_select, 3, "stage_select")
+    taps = _word_taps(_parse_code(tap_word, 12, "tap_word"))
+    return PnConfig(stages=stages, structure=structure, taps=taps, seed=tuple(seed))
 
 
 def default_config(
@@ -221,14 +170,7 @@ def default_config(
     """Chip-style config with the shipped primitive tap set for this N."""
     if stages not in DEFAULT_TAPS:
         raise ConfigError(f"no default tap set for stages={stages}")
-    taps = DEFAULT_TAPS[stages]
-    return PnConfig(
-        stages=stages,
-        structure=structure,
-        taps=taps,
-        stage_select=stages - CHIP_STAGES_MIN,
-        tap_word=_tap_word(taps),
-    )
+    return PnConfig(stages=stages, structure=structure, taps=DEFAULT_TAPS[stages])
 
 
 def _msrg_inject_mask(config: PnConfig) -> int:

@@ -399,6 +399,21 @@ def find_sync_peaks(trace: PdpTrace) -> list[int]:
     return sorted(peaks)
 
 
+def profile_bins(code_length: int, periods: int, bins_per_chip: int) -> int:
+    """Bins of a profile folding periods segments; refuses one that cannot fit."""
+    if periods < 1:
+        raise ConfigError("periods_to_average must be >= 1")
+    if bins_per_chip < 1:
+        raise ConfigError("bins_per_chip must be >= 1")
+    n_bins = code_length * bins_per_chip
+    # float64 per bin: each segment's power twice (list and stack), plus
+    # about eight working arrays
+    refuse_beyond_memory(
+        n_bins * 8 * (2 * periods + 8), f"profile of {n_bins:.4g} bins"
+    )
+    return n_bins
+
+
 def extract_pdp(
     trace: PdpTrace,
     periods_to_average: int = 4,
@@ -415,10 +430,7 @@ def extract_pdp(
     are processed independently (optionally across threads) and merged in
     slow time order, so thread count cannot change the result.
     """
-    if periods_to_average < 1:
-        raise ConfigError("periods_to_average must be >= 1")
-    if bins_per_chip < 1:
-        raise ConfigError("bins_per_chip must be >= 1")
+    n_bins = profile_bins(trace.code_length, periods_to_average, bins_per_chip)
     n = len(trace)
     period = trace.dilated_period * trace.slow_rate
     seg_len = int(math.floor(period + 1e-9))
@@ -436,12 +448,6 @@ def extract_pdp(
         )
     usable = usable[:periods_to_average]
 
-    n_bins = trace.code_length * bins_per_chip
-    # float64 per bin: each segment's power twice (list and stack), plus
-    # about eight working arrays
-    refuse_beyond_memory(
-        n_bins * 8 * (2 * len(usable) + 8), f"profile of {n_bins:.4g} bins"
-    )
     # delay-bin index for each in-segment sample; identical for all segments.
     # The +0.5 centers bins on whole-chip delays so an on-grid path apex sits
     # mid-bin instead of on a bin edge.

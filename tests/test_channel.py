@@ -19,6 +19,7 @@ from sounder_sim.channel import (
     identity_channel,
     read_section,
     read_value,
+    strict_int,
 )
 from sounder_sim.errors import ConfigError, DelayExceedsDuration, InvalidSnr
 from sounder_sim.pn import default_config, generate_period
@@ -176,6 +177,15 @@ class TestReader:
 
         with pytest.raises(InvalidSnr, match="^own message$"):
             read_value({"k": 1}, "k", refuse, "s")
+
+    @pytest.mark.parametrize("raw,value", [(3, 3), (3.0, 3), (-2, -2), (1e20, 10**20)])
+    def test_strict_int_accepts_integral_numbers(self, raw, value):
+        assert read_value({"k": raw}, "k", strict_int, "s") == value
+
+    @pytest.mark.parametrize("raw", [True, 2.7, "4", [4], 1e999, float("nan")])
+    def test_strict_int_refuses_everything_else(self, raw):
+        with pytest.raises(ConfigError, match=r"^config: s\.k: expected an integer"):
+            read_value({"k": raw}, "k", strict_int, "s")
 
     def test_section_table_is_the_key_set(self):
         table = {"a": int, "b": float}

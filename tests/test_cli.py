@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sounder_sim
+from sounder_sim import cli
 from sounder_sim.channel import ChannelModel
 from sounder_sim.cli import _emit_json, main
 from sounder_sim.config import RunSpec, load_config, parse_rate
@@ -110,6 +111,21 @@ class TestRunSpec:
         doc = {"pn": {"stages": 9, "taps": [9, 5]},
                "pn_rx": {"stages": 9, "taps": [9, 6, 4, 3]}}
         with pytest.raises(ConfigError):
+            RunSpec.from_json_dict(doc)
+
+    @pytest.mark.parametrize("taps_first", [True, False])
+    def test_code_forms_mix_across_sections(self, taps_first):
+        by_taps = {"stages": 9, "taps": [9, 5]}
+        by_words = {"stage_select": "100", "tap_word": "000100010000"}
+        pn, pn_rx = (by_taps, by_words) if taps_first else (by_words, by_taps)
+        spec = RunSpec.from_json_dict({"pn": pn, "pn_rx": pn_rx})
+        assert spec.pn == RunSpec.from_json_dict({"pn": pn_rx}).pn
+
+    @pytest.mark.parametrize("section", ["pn", "pn_rx"])
+    def test_code_rule_error_names_the_section(self, section):
+        doc = {"pn": {"stages": 9, "taps": [9, 5]}}
+        doc[section] = {"stage_select": "1000", "tap_word": "000100010000"}
+        with pytest.raises(ConfigError, match=f"^{section} section: stage_select"):
             RunSpec.from_json_dict(doc)
 
     def test_unknown_keys_rejected(self):
@@ -467,6 +483,17 @@ class TestSoundCommand:
         assert "Traceback" not in err
         assert not any(outdir.iterdir())
 
+    def test_profile_refused_before_sounding(self, tmp_path, capsys, monkeypatch):
+        def no_sounding(cfg):
+            raise AssertionError("the chain ran before the profile was refused")
+
+        monkeypatch.setattr(cli, "tx_baseband", no_sounding)
+        doc = desk_doc()
+        doc["extraction"]["bins_per_chip"] = 10**8
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main(["sound", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: profile of")
+
     def test_json_output_is_strict(self, tmp_path):
         with pytest.raises(ValueError):
             _emit_json({"floor_db": float("-inf")}, str(tmp_path / "m.json"))
@@ -516,20 +543,35 @@ class TestSoundCommand:
             ("flag", "--seed", "-1"),
             ("pn", "stages", 64),
             ("pn", "stages", "1e999"),
+            ("code", "stages", 9.7),
+            ("code", "taps", [9, 5.9]),
+            ("code", "stage_select", 4.5),
+            ("code", "seed", 10),
+            ("code", "seed", "fff"),
+            ("extraction", "threads", 0),
+            ("extraction", "periods", 2.7),
+            ("channel", "seed", True),
+            ("flag", "--threads", "-1"),
+            ("env", "SOUNDER_SIM_THREADS", "0"),
         ],
     )
     def test_bad_value_exits_2_with_one_error_line(
-        self, tmp_path, capsys, section, key, value
+        self, tmp_path, capsys, monkeypatch, section, key, value
     ):
         doc = desk_doc()
         doc["channel"] = channel_doc()
         argv = []
         if section == "flag":
             argv = [key, value]
+        elif section == "env":
+            monkeypatch.setenv(key, value)
         elif section == "path":
             doc["channel"]["paths"][1][key] = value
         elif section == "pn":
             doc["pn"] = {key: value, "taps": [64, 63, 61, 60]}
+        elif section == "code":  # one key of the desk code written in both forms
+            doc["pn"] = {"stages": 9, "taps": [9, 5], "stage_select": "100",
+                         "tap_word": "000100010000", key: value}
         else:
             doc[section][key] = value
         # 1e999 written as such: JSON has no infinity, Python's reader gives inf

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sounder_sim.config import RunSpec
 from sounder_sim.errors import (
     AllZeroState,
     ConfigError,
@@ -113,13 +114,25 @@ class TestConfig:
         assert cfg.taps == (8, 6, 5, 4)
 
     def test_json_round_trip(self):
-        cfg = default_config(9, Structure.SSRG)
-        blob = json.dumps(cfg.to_json_dict())
-        assert PnConfig.from_json_dict(json.loads(blob)) == cfg
+        # a pn section is read by the config reader; the JSON form carries
+        # the control words too for chip stage counts (9), not for others (3)
+        ssrg = PnConfig(9, Structure.SSRG, taps=(9, 5), seed=(0, 1, 1) * 3)
+        for cfg in (ssrg, PnConfig(stages=3, taps=(3, 2))):
+            blob = json.dumps({"pn": cfg.to_json_dict()})
+            assert RunSpec.from_json_dict(json.loads(blob)).pn == cfg
 
     def test_control_code_consistency_enforced(self):
-        with pytest.raises(ConfigError):
-            PnConfig(stages=5, taps=(5, 3), stage_select=1, tap_word=0b10100)
+        # both forms are valid codes, but tap word 000100001000 selects (9, 4)
+        doc = {"pn": {"stages": 9, "taps": [9, 5],
+                      "stage_select": "100", "tap_word": "000100001000"}}
+        with pytest.raises(ConfigError, match="^pn section: stages/taps give taps"):
+            RunSpec.from_json_dict(doc)
+
+    def test_control_words_are_derived(self):
+        cfg = PnConfig(stages=11, taps=(2, 5, 8, 11))
+        assert (cfg.stage_select, cfg.tap_word) == (6, 0b010010010010)
+        assert cfg == decode_controls("110", "010010010010")
+        assert PnConfig(stages=4, taps=(4, 3)).tap_word is None
 
     @pytest.mark.parametrize("stages", [65, 10**9])
     def test_stage_count_beyond_limit_rejected(self, stages):
