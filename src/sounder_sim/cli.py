@@ -29,7 +29,7 @@ from . import __version__
 from .analysis import extract_paths, instrument_metrics
 from .channel import ChannelModel, apply_channel, identity_channel
 from .config import RunManifest, load_config
-from .errors import ConfigError, InsufficientLength, NotMaximal, SounderSimError
+from .errors import ConfigError, NotMaximal, SounderSimError
 from .fileio import (
     atomic_write_text,
     write_paths_csv,
@@ -99,7 +99,9 @@ def cmd_pn_validate(args) -> int:
 def cmd_spectrum(args) -> int:
     spec = load_config(args.config)
     sp = spec.spectrum
-    chip_rate = sp.chip_rate if sp.chip_rate is not None else spec.alpha
+    chip_rate = sp.chip_rate
+    if chip_rate is None and spec.sounder is not None:
+        chip_rate = spec.sounder.alpha
     if chip_rate is None:
         raise ConfigError(
             "spectrum needs spectrum.chip_rate or a sounder section with alpha"
@@ -146,11 +148,12 @@ def cmd_sound(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     profile_bins(spec.pn.length, periods, effective.bins_per_chip)
+    rx_cfg = effective.sounder_config(Mode.RX)
     started = time.perf_counter()
     tx = tx_baseband(effective.sounder_config(Mode.TX))
     received = apply_channel(tx, channel)
     del tx  # the correlator needs only the received copy
-    trace = sliding_correlate(received, effective.sounder_config(Mode.RX))
+    trace = sliding_correlate(received, rx_cfg)
     profile = extract_pdp(
         trace, periods, bins_per_chip=effective.bins_per_chip, threads=threads
     )
@@ -164,7 +167,6 @@ def cmd_sound(args) -> int:
     write_profile_csv(str(profile_path), profile)
     write_paths_csv(str(paths_path), paths)
 
-    rx_cfg = effective.sounder_config(Mode.RX)
     derived = instrument_metrics(rx_cfg)
     derived["slow_rate_hz"] = rx_cfg.slow_rate
     derived["decimation"] = rx_cfg.decimation
@@ -235,7 +237,7 @@ def main(argv=None) -> int:
     except NotMaximal as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (ConfigError, InsufficientLength) as err:
+    except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except SounderSimError as err:

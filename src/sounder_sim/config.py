@@ -68,8 +68,9 @@ class SpectrumSpec:
 
 
 # Each section's keys and converters. A null or absent key takes its
-# RunSpec or SpectrumSpec field default: a dataclass keeps those defaults as
-# class attributes, so vars() of the class maps each key to its default.
+# SounderConfig, RunSpec or SpectrumSpec field default: a dataclass keeps
+# those defaults as class attributes, so vars() of the class maps each key to
+# its default.
 _SOUNDER = {"alpha": _hz, "beta": _hz, "sample_rate": _hz, "lpf_cutoff": _hz,
             "capture": float, "beta_ppm_error": float}
 _EXTRACTION = {"periods": strict_int, "bins_per_chip": strict_int,
@@ -128,7 +129,10 @@ def _read_pn(section, where: str) -> PnConfig:
         return code
     if seed >> code.stages:  # a negative seed is refused here too
         raise ConfigError(f"{where}.seed {seed:#x} does not fit in {code.stages} bits")
-    return replace(code, seed=tuple((seed >> i) & 1 for i in range(code.stages)))
+    try:
+        return replace(code, seed=tuple((seed >> i) & 1 for i in range(code.stages)))
+    except ConfigError as err:
+        raise type(err)(f"{where} section: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -136,12 +140,7 @@ class RunSpec:
     """A parsed, normalized run configuration."""
 
     pn: PnConfig
-    alpha: float | None = None
-    beta: float | None = None
-    sample_rate: float | None = None
-    lpf_cutoff: float | None = None
-    capture: float | None = None
-    beta_ppm_error: float = 0.0
+    sounder: SounderConfig | None = None
     channel: ChannelModel | None = None
     periods: int = 4
     bins_per_chip: int = 1
@@ -150,27 +149,18 @@ class RunSpec:
     spectrum: SpectrumSpec = field(default_factory=SpectrumSpec)
 
     def sounder_config(self, mode: Mode = Mode.RX) -> SounderConfig:
-        if self.alpha is None or self.beta is None:
+        if self.sounder is None:
             raise ConfigError(
                 'this command needs a "sounder" section with alpha and beta'
             )
-        return SounderConfig(
-            pn=self.pn,
-            alpha=self.alpha,
-            beta=self.beta,
-            sample_rate=self.sample_rate,
-            lpf_cutoff=self.lpf_cutoff,
-            capture=self.capture,
-            mode=mode,
-            beta_ppm_error=self.beta_ppm_error,
-        )
+        return replace(self.sounder, mode=mode)
 
     def to_json_dict(self) -> dict:
         doc: dict = {"schema_version": SCHEMA_VERSION, "pn": self.pn.to_json_dict()}
-        if self.alpha is not None:
-            # leave out unset settings (None) and a zero clock error; valid
-            # rates and captures are positive, so no other value is dropped
-            sounder = {key: getattr(self, key) for key in _SOUNDER}
+        if self.sounder is not None:
+            # leave out a zero clock error; every other value is a resolved,
+            # positive rate or capture
+            sounder = {key: getattr(self.sounder, key) for key in _SOUNDER}
             doc["sounder"] = {key: value for key, value in sounder.items() if value}
         if self.channel is not None:
             doc["channel"] = self.channel.to_json_dict()
@@ -207,13 +197,15 @@ class RunSpec:
                 " configuration and must be programmed identically"
             )
 
-        rates = {}
+        sounder = None
         if obj.get("sounder") is not None:
-            rates = read_section(obj["sounder"], _SOUNDER, "sounder", vars(cls))
+            rates = read_section(obj["sounder"], _SOUNDER, "sounder", vars(SounderConfig))
             if rates["alpha"] is None or rates["beta"] is None:
                 raise ConfigError("sounder section needs alpha and beta")
-            if rates["sample_rate"] is None:
-                rates["sample_rate"] = 2.0 * rates["alpha"]
+            try:
+                sounder = SounderConfig(pn=pn, **rates)
+            except ConfigError as err:  # a rule of the sounder; name the section
+                raise type(err)(f"sounder section: {err}") from None
         channel = None
         if obj.get("channel") is not None:
             channel = ChannelModel.from_json_dict(obj["channel"])
@@ -222,9 +214,9 @@ class RunSpec:
         )
         return cls(
             pn=pn,
+            sounder=sounder,
             channel=channel,
             spectrum=SpectrumSpec(**spectrum),
-            **rates,
             **read_section(obj.get("extraction"), _EXTRACTION, "extraction", vars(cls)),
         )
 

@@ -19,7 +19,7 @@ class EmptyTaps(ConfigError):
     """Tap word selects no feedback taps at all."""
 
 
-class AllZeroState(SounderSimError):
+class AllZeroState(ConfigError):
     """Shift register reached (or was seeded with) the absorbing all-zero state."""
 
 
@@ -38,7 +38,7 @@ class NotMaximal(SounderSimError):
         )
 
 
-class InsufficientLength(SounderSimError):
+class InsufficientLength(ConfigError):
     """Waveform too short for the requested spectral analysis."""
 
 

@@ -8,9 +8,10 @@ trace (local TX code times RX code) that marks the zero-delay reference.
 
 The relative code slip sweeps one full code period every dilated_period
 L*gamma/alpha seconds, with gamma = alpha/(alpha - beta); a true propagation
-delay tau therefore appears gamma*tau after the sync peak in slow time. The
-RX code is generated by time-indexed chip lookup, floor(t*beta) mod L, so the
-slip is exact and no resampling error enters.
+delay tau therefore appears gamma*tau after the sync peak in slow time. Each
+code is generated by sample-indexed chip lookup: sample n of a code clocked
+at rate carries chip floor(n * (rate/fs)) mod L, the product evaluated in
+float64, so the slip is exact and no resampling error enters.
 """
 
 from __future__ import annotations
@@ -66,13 +67,14 @@ class SounderConfig:
     and share the code programming). beta_ppm_error models residual RX clock
     offset from an imperfect frequency reference; the derived gamma and all
     delay mapping use the nominal beta, so a nonzero error skews the measured
-    axis exactly as it would on the bench.
+    axis exactly as it would on the bench. An unset sample_rate defaults to
+    2*alpha, lpf_cutoff to 2*(alpha - beta), capture to 5.25 dilated periods.
     """
 
     pn: PnConfig
     alpha: float
     beta: float
-    sample_rate: float
+    sample_rate: float | None = None
     lpf_cutoff: float | None = None
     capture: float | None = None
     mode: Mode = Mode.RX
@@ -84,6 +86,8 @@ class SounderConfig:
             raise ConfigError(
                 f"beta_ppm_error must be finite, got {self.beta_ppm_error!r}"
             )
+        if self.sample_rate is None:
+            object.__setattr__(self, "sample_rate", 2.0 * self.alpha)
         if not math.isfinite(self.sample_rate):
             raise InvalidRates(f"sample_rate must be finite, got {self.sample_rate!r}")
         if self.sample_rate < 2 * self.alpha:
@@ -130,16 +134,12 @@ class SounderConfig:
 
 @dataclass(frozen=True)
 class PdpTrace:
-    """Slow-time correlator outputs, decimated to slow_rate."""
+    """Slow-time correlator outputs, decimated to config.slow_rate."""
 
     i_out: np.ndarray
     q_out: np.ndarray
     sync: np.ndarray
-    slow_rate: float
-    gamma: float
-    dilated_period: float
-    code_length: int
-    alpha: float
+    config: SounderConfig
 
     def __post_init__(self):
         for name in ("i_out", "q_out", "sync"):
@@ -153,7 +153,7 @@ class PdpTrace:
         return int(self.sync.size)
 
     def times(self) -> np.ndarray:
-        return np.arange(self.sync.size) / self.slow_rate
+        return np.arange(self.sync.size) / self.config.slow_rate
 
 
 @dataclass(frozen=True)
@@ -269,21 +269,6 @@ def tx_baseband(cfg: SounderConfig) -> SampledWaveform:
     )
 
 
-def rx_pn_chip_at(t, cfg: SounderConfig):
-    """Local RX code value at time t (seconds): chip floor(t*beta) mod L, bipolar.
-
-    Accepts a scalar or an array; exact fractional-rate generation, no
-    resampled waveform is ever built.
-    """
-    table = _bipolar_table(cfg.pn)
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0):
-        raise ConfigError("t must be >= 0")
-    idx = np.floor(t * cfg.beta_effective).astype(np.int64) % table.size
-    out = table[idx]
-    return float(out) if out.ndim == 0 else out
-
-
 def sliding_correlate(received: SampledWaveform, cfg: SounderConfig) -> PdpTrace:
     """Stream the received samples through the sliding correlator.
 
@@ -340,16 +325,7 @@ def sliding_correlate(received: SampledWaveform, cfg: SounderConfig) -> PdpTrace
         del y  # or it stays live while the next block is filtered
     i_out, q_out, sync = np.concatenate(parts, axis=1)
 
-    return PdpTrace(
-        i_out=i_out,
-        q_out=q_out,
-        sync=sync,
-        slow_rate=cfg.slow_rate,
-        gamma=cfg.gamma,
-        dilated_period=cfg.dilated_period,
-        code_length=cfg.pn.length,
-        alpha=cfg.alpha,
-    )
+    return PdpTrace(i_out=i_out, q_out=q_out, sync=sync, config=cfg)
 
 
 def find_sync_peaks(trace: PdpTrace) -> list[int]:
@@ -362,7 +338,7 @@ def find_sync_peaks(trace: PdpTrace) -> list[int]:
     """
     sync = trace.sync
     n = sync.size
-    period = trace.dilated_period * trace.slow_rate
+    period = trace.config.dilated_period * trace.config.slow_rate
     if n < 1 or period <= 0:
         raise NoSyncPeak("empty sync trace")
     median_power = float(np.median(sync**2))
@@ -430,9 +406,10 @@ def extract_pdp(
     are processed independently (optionally across threads) and merged in
     slow time order, so thread count cannot change the result.
     """
-    n_bins = profile_bins(trace.code_length, periods_to_average, bins_per_chip)
+    cfg = trace.config
+    n_bins = profile_bins(cfg.pn.length, periods_to_average, bins_per_chip)
     n = len(trace)
-    period = trace.dilated_period * trace.slow_rate
+    period = cfg.dilated_period * cfg.slow_rate
     seg_len = int(math.floor(period + 1e-9))
     if seg_len < 1 or n < seg_len:
         raise CaptureTooShort(
@@ -451,7 +428,7 @@ def extract_pdp(
     # delay-bin index for each in-segment sample; identical for all segments.
     # The +0.5 centers bins on whole-chip delays so an on-grid path apex sits
     # mid-bin instead of on a bin edge.
-    scale = trace.alpha * bins_per_chip / (trace.gamma * trace.slow_rate)
+    scale = cfg.alpha * bins_per_chip / (cfg.gamma * cfg.slow_rate)
     bins = np.floor(np.arange(seg_len) * scale + 0.5).astype(np.int64) % n_bins
     counts = np.bincount(bins, minlength=n_bins).astype(np.float64)
     filled = counts > 0
@@ -479,14 +456,14 @@ def extract_pdp(
         raise NoSyncPeak("profile is identically zero")
     normalized = linear / peak
     power_db = ratio_to_db(normalized)
-    delays = np.arange(n_bins) / (trace.alpha * bins_per_chip)
+    delays = np.arange(n_bins) / (cfg.alpha * bins_per_chip)
     return PdpProfile(
         delays=delays,
         power_db=power_db,
         averaged_over=len(usable),
         power_linear=normalized,
         bins_per_chip=bins_per_chip,
-        alpha=trace.alpha,
+        alpha=cfg.alpha,
     )
 
 

@@ -2,8 +2,8 @@
 
 Chip streams become rectangular NRZ complex-baseband waveforms (zero rise
 time, no pulse shaping). Spectra come from an averaged periodogram with no
-window by default, so a whole-period FFT puts every spectral line exactly on
-a bin and the sinc^2 envelope nulls collapse to numerical zero.
+window, so a whole-period FFT puts every spectral line exactly on a bin and
+the sinc^2 envelope nulls collapse to numerical zero.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import get_window
 
 from .errors import (
     ConfigError,
@@ -147,16 +146,12 @@ def chips_to_waveform(
     )
 
 
-def power_spectrum(
-    w: SampledWaveform, fft_size: int | None = None, window: str | None = None
-) -> PowerSpectrum:
+def power_spectrum(w: SampledWaveform, fft_size: int | None = None) -> PowerSpectrum:
     """Averaged periodogram, two-sided, normalized to 0 dB at the peak.
 
     The waveform is cut into consecutive non-overlapping fft_size blocks and
     the block periodograms |X[k]|^2 / fft_size^2 are averaged, so the total
     linear power equals the mean square of the covered samples (Parseval).
-    With a window the power is rescaled by 1/mean(window^2) to preserve that
-    total; windowing is only useful for captures that are not whole periods.
     """
     period = w.samples_per_period
     if fft_size is None:
@@ -176,12 +171,7 @@ def power_spectrum(
 
     n_seg = len(w) // fft_size
     segments = w.samples[: n_seg * fft_size].reshape(n_seg, fft_size)
-    if window is not None:
-        win = get_window(window, fft_size, fftbins=True)
-        segments = segments * win
-        scale = 1.0 / (fft_size**2 * np.mean(win**2))
-    else:
-        scale = 1.0 / fft_size**2
+    scale = 1.0 / fft_size**2
     spectra = np.fft.fft(segments, axis=1)
     power = np.mean(np.abs(spectra) ** 2, axis=0) * scale
 

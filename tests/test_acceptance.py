@@ -200,7 +200,7 @@ def test_criterion_3_sliding_factor_and_sync_period():
         trace, _ = desk_profile(identity_channel())
         peaks = np.asarray(find_sync_peaks(trace), dtype=np.float64)
         spacings = np.diff(peaks)
-        expected = trace.dilated_period * trace.slow_rate
+        expected = trace.config.dilated_period * trace.config.slow_rate
         assert spacings.size >= 4
         assert np.all(np.abs(spacings - expected) <= SYNC_TOL_SLOW_SAMPLES)
         info["extra"] = f"spacings {spacings.astype(int).tolist()} vs {expected:g}"

@@ -90,8 +90,8 @@ class TestRunSpec:
             spec.channel.paths[0].delay, rel=1e-12
         )
         assert back.channel.rng_seed == spec.channel.rng_seed
-        assert spec.alpha == 1e6
-        assert spec.beta == 995e3
+        assert spec.sounder.alpha == 1e6
+        assert spec.sounder.beta == 995e3
         assert spec.channel.paths[0].delay == pytest.approx(7e-6)
 
     def test_control_code_form_matches_tap_form(self):
@@ -153,7 +153,7 @@ class TestRunSpec:
     def test_sample_rate_defaults_to_twice_alpha(self):
         doc = desk_doc()
         del doc["sounder"]["sample_rate"]
-        assert RunSpec.from_json_dict(doc).sample_rate == 2e6
+        assert RunSpec.from_json_dict(doc).sounder.sample_rate == 2e6
 
     def test_manifest_document_is_a_valid_config(self):
         doc = desk_doc()
@@ -264,6 +264,20 @@ class TestPnCommands:
         assert report["expected_period"] == 31
         assert any("period" in v for v in report["violations"])
 
+    @pytest.mark.parametrize("command", ["gen", "validate"])
+    def test_all_zero_seed_exits_2(self, tmp_path, capsys, command):
+        doc = desk_doc()
+        doc["pn"]["seed"] = "0"
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        out = tmp_path / "out.txt"
+        assert main(["pn", command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: pn section: all-zero seed would lock the generator\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         missing = str(tmp_path / "nope.json")
         assert main(["pn", "validate", "--config", missing]) == 2
@@ -368,6 +382,31 @@ class TestMetricsCommand:
         assert m["null_to_null_bw_hz"] == 2e9
 
 
+@pytest.mark.parametrize(
+    "command,out",
+    [
+        (["pn", "gen"], ["--out", "chips.txt"]),
+        (["pn", "validate"], []),
+        (["spectrum"], ["--out", "spectrum.csv"]),
+        (["metrics"], []),
+        (["sound"], ["--out", "run"]),
+    ],
+)
+def test_every_command_refuses_a_broken_sounder_section(tmp_path, capsys, command, out):
+    # beta above alpha breaks a SounderConfig rule; the config load refuses
+    # it, whether or not the command uses the sounder rates
+    cfg = write_json(tmp_path / "cfg.json", desk_doc(beta="1.005 MHz"))
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    out = [out[0], str(outdir / out[1])] if out else []
+    assert main(command + ["--config", cfg] + out) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: sounder section: ")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert not any(outdir.iterdir())
+
+
 @pytest.fixture(scope="module")
 def first_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("sound")
@@ -418,6 +457,25 @@ class TestSoundCommand:
         assert main(["sound", "--config", manifest, "--out", str(redo)]) == 0
         for name in ("trace.csv", "profile.csv", "paths.csv"):
             assert (redo / name).read_bytes() == (outdir / name).read_bytes()
+
+    def test_manifest_records_and_replays_defaulted_rates(self, tmp_path):
+        # no sample_rate, lpf_cutoff or capture: the manifest records the
+        # resolved values, and the replay reads them back as given
+        doc = {"pn": {"stages": 7, "taps": [7, 6]},
+               "sounder": {"alpha": "1 MHz", "beta": "990 kHz"},
+               "channel": channel_doc(),
+               "extraction": {"periods": 2}}
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        first, replay = tmp_path / "run1", tmp_path / "run2"
+        assert main(["sound", "--config", cfg, "--out", str(first)]) == 0
+        manifest = first / "manifest.json"
+        sounder = json.loads(manifest.read_text())["config"]["sounder"]
+        assert sounder["sample_rate"] == 2e6
+        assert sounder["lpf_cutoff"] == 2e4
+        assert sounder["capture"] == pytest.approx(5.25 * 127 * 100 / 1e6)
+        assert main(["sound", "--config", str(manifest), "--out", str(replay)]) == 0
+        for name in ("trace.csv", "profile.csv", "paths.csv"):
+            assert (replay / name).read_bytes() == (first / name).read_bytes()
 
     def test_channel_file_and_seed_override(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", desk_doc())

@@ -33,7 +33,6 @@ from sounder_sim.sounder import (
     extract_pdp,
     fast_pdp_oracle,
     find_sync_peaks,
-    rx_pn_chip_at,
     sliding_correlate,
     sliding_factor,
     tx_baseband,
@@ -241,17 +240,26 @@ class TestCodeSource:
         assert code(0, 4000).flags.writeable
 
 
+def rx_code(cfg, span):
+    """The correlator's RX code source for cfg, as sliding_correlate builds it."""
+    table = sounder_mod._bipolar_table(cfg.pn)
+    return sounder_mod._code_source(table, cfg.beta_effective / cfg.sample_rate, span)
+
+
 class TestRxCode:
     def test_origin_is_first_chip(self, desk):
         cfg, _, _ = desk
         seq = generate_period(PN9)
-        assert rx_pn_chip_at(0.0, cfg) == seq.bipolar()[0]
+        assert rx_code(cfg, 1)(0, 1)[0] == seq.bipolar()[0]
 
     def test_period_wrap(self, desk):
         cfg, _, _ = desk
-        centers = (np.arange(32) + 0.5) / cfg.beta  # mid-chip, away from edges
-        shifted = centers + 511 / cfg.beta
-        assert np.array_equal(rx_pn_chip_at(centers, cfg), rx_pn_chip_at(shifted, cfg))
+        samples_per_chip = cfg.sample_rate / cfg.beta_effective
+        chips = np.arange(32) + 0.5  # mid-chip, away from edges
+        centers = np.rint(chips * samples_per_chip).astype(np.int64)
+        shifted = np.rint((chips + 511) * samples_per_chip).astype(np.int64)
+        code = rx_code(cfg, shifted[-1] + 1)(0, shifted[-1] + 1)
+        assert np.array_equal(code[centers], code[shifted])
 
     def test_one_code_period_slips_per_dilated_period(self, desk):
         cfg, _, _ = desk
@@ -263,11 +271,6 @@ class TestRxCode:
             - (int(np.floor(eps * cfg.alpha)) - int(np.floor(eps * cfg.beta)))
         )
         assert slipped == cfg.pn.length
-
-    def test_negative_time_rejected(self, desk):
-        cfg, _, _ = desk
-        with pytest.raises(ConfigError):
-            rx_pn_chip_at(-1e-9, cfg)
 
 
 class TestSlidingCorrelate:
@@ -338,28 +341,30 @@ class TestSlidingCorrelate:
     def test_sync_peaks_spaced_one_dilated_period(self, desk):
         trace, _ = run_channel(desk, identity_channel())
         peaks = np.array(find_sync_peaks(trace))
-        expected = trace.dilated_period * trace.slow_rate
+        expected = trace.config.dilated_period * trace.config.slow_rate
         assert peaks.size >= 4
         assert np.all(np.abs(np.diff(peaks) - expected) < 1.0)
 
     def test_identity_i_peak_aligns_with_sync(self, desk):
         trace, _ = run_channel(desk, identity_channel())
+        cfg = trace.config
         peak = find_sync_peaks(trace)[0]
-        seg = int(trace.dilated_period * trace.slow_rate)
+        seg = int(cfg.dilated_period * cfg.slow_rate)
         lo = max(0, peak - seg // 2)
         window_i = np.hypot(trace.i_out, trace.q_out)[lo : lo + seg]
-        half_dilated_chip = 0.5 * trace.gamma / trace.alpha * trace.slow_rate
+        half_dilated_chip = 0.5 * cfg.gamma / cfg.alpha * cfg.slow_rate
         assert abs((lo + np.argmax(window_i)) - peak) <= half_dilated_chip
 
     def test_single_path_displaced_by_gamma_tau(self, desk):
         tau = 3e-6
         trace, _ = run_channel(desk, ChannelModel(paths=(PathSpec(tau),)))
+        cfg = trace.config
         peak = find_sync_peaks(trace)[0]
-        seg = int(trace.dilated_period * trace.slow_rate)
+        seg = int(cfg.dilated_period * cfg.slow_rate)
         env = np.hypot(trace.i_out, trace.q_out)[peak : peak + seg]
-        displacement = np.argmax(env) / trace.slow_rate
-        tolerance = 0.5 * trace.gamma / trace.alpha  # half a dilated chip
-        assert abs(displacement - trace.gamma * tau) <= tolerance
+        displacement = np.argmax(env) / cfg.slow_rate
+        tolerance = 0.5 * cfg.gamma / cfg.alpha  # half a dilated chip
+        assert abs(displacement - cfg.gamma * tau) <= tolerance
 
     def test_bandwidth_compression(self):
         # the megahertz-wide input collapses to a trace confined near the
@@ -376,7 +381,7 @@ class TestSlidingCorrelate:
             dataclasses.replace(cfg, mode=Mode.RX),
         )
         slow = SampledWaveform(
-            samples=trace.i_out.astype(complex), sample_rate=trace.slow_rate
+            samples=trace.i_out.astype(complex), sample_rate=trace.config.slow_rate
         )
         ps = power_spectrum(slow)
         total = float(ps.power_linear.sum())
@@ -438,10 +443,10 @@ class TestExtractPdp:
             extract_pdp(trace, periods_to_average=40)
 
     def test_no_sync_peak_on_flat_trace(self):
+        cfg = desk_config(mode=Mode.RX)  # 8176 slow samples per dilated period
         flat = PdpTrace(
-            i_out=np.ones(4000), q_out=np.zeros(4000), sync=np.ones(4000),
-            slow_rate=1000.0, gamma=200.0, dilated_period=1.0,
-            code_length=511, alpha=1e6,
+            i_out=np.ones(20000), q_out=np.zeros(20000), sync=np.ones(20000),
+            config=cfg,
         )
         with pytest.raises(NoSyncPeak):
             extract_pdp(flat, 1)
