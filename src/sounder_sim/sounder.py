@@ -5,6 +5,10 @@ mode runs the received complex baseband against a local replica of the same
 code clocked slightly slower at beta, through a pair of mixers and one-pole
 low-pass filters, producing slow-time I/Q correlation traces plus a Sync
 trace (local TX code times RX code) that marks the zero-delay reference.
+The filter and the integrate-and-dump that follows it are evaluated in
+closed form per decimation window: beyond the mixer products, the correlator
+forms two weighted sums of each window's products, with no per-sample
+filter pass.
 
 The relative code slip sweeps one full code period every dilated_period
 L*gamma/alpha seconds, with gamma = alpha/(alpha - beta); a true propagation
@@ -23,7 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import (
     CaptureTooShort,
@@ -231,6 +234,24 @@ def _code_source(table: np.ndarray, chips_per_sample: float, span: int):
     return code
 
 
+def _window_weights(omega: float, dec: int):
+    """The one-pole low-pass and integrate-and-dump of dec samples, per window.
+
+    The filter y[n] = p*y[n-1] + (1 - p)*x[n], p = exp(-omega), entered with
+    state s (the output before the window) and fed x[0..dec-1], has
+    window mean    c*s + sum_k A[k]*x[k],  A[k] = (1 - p**(dec-k)) / dec,
+    final output   P*s + sum_k B[k]*x[k],  B[k] = (1 - p) * p**(dec-1-k),
+    with c = p*(1 - p**dec) / ((1 - p)*dec) and P = p**dec. Returns the rows
+    [A, B], c and P, each 1 - p**m formed by expm1 to keep its low digits.
+    """
+    remaining = np.arange(dec, 0, -1, dtype=np.float64)  # dec - k
+    weights = np.empty((2, dec))
+    weights[0] = -np.expm1(-omega * remaining) / dec
+    weights[1] = -math.expm1(-omega) * np.exp(-omega * (remaining - 1.0))
+    carry = math.exp(-omega) * math.expm1(-omega * dec) / (math.expm1(-omega) * dec)
+    return weights, carry, math.exp(-omega * dec)
+
+
 def _capture_samples(cfg: SounderConfig) -> int:
     """Samples in cfg.capture, refused before allocation if they cannot fit."""
     samples = cfg.capture * cfg.sample_rate
@@ -278,7 +299,15 @@ def sliding_correlate(received: SampledWaveform, cfg: SounderConfig) -> PdpTrace
     decimation consecutive filter outputs averages into one slow sample.
     The averaging is the anti-alias guard the one-pole filter alone cannot
     provide; plain subsampling would fold the filter's high-frequency tail
-    back into the slow band. Filter state carries across blocks and blocks
+    back into the slow band. A trailing partial window is dropped.
+
+    The filtered samples themselves are never formed: each window's mean
+    and final filter output are weighted sums of its products plus a
+    multiple of the state before it (_window_weights), so the products meet
+    the weights in one einsum per block and the filter recurrence runs at
+    the slow rate, once over all windows. einsum sums each window in one
+    order whatever else the block holds; a BLAS product may change its
+    summation with the number of rows and so with the block size. Blocks
     are cut at window boundaries, so block size cannot change results.
     """
     if cfg.mode is not Mode.RX:
@@ -294,36 +323,41 @@ def sliding_correlate(received: SampledWaveform, cfg: SounderConfig) -> PdpTrace
             f"dilated period ({cfg.dilated_period:g} s)"
         )
 
+    from scipy.signal import lfilter  # a 1.2 s import that only sounding needs
+
     fs = cfg.sample_rate
-    pole = math.exp(-2.0 * math.pi * cfg.lpf_cutoff / fs)
-    b_coef = np.array([1.0 - pole])
-    a_coef = np.array([1.0, -pole])
-    zi = np.zeros((3, 1))
     dec = cfg.decimation
-    block = min(block_length(dec), n_total)
+    weights, carry, pole_d = _window_weights(2.0 * math.pi * cfg.lpf_cutoff / fs, dec)
+    windows = n_total // dec
+    used = windows * dec  # a trailing partial window is never multiplied
+    block = min(block_length(dec), used)
     table = _bipolar_table(cfg.pn)
     rx_code = _code_source(table, cfg.beta_effective / fs, block)
     tx_code = _code_source(table, cfg.alpha / fs, block)
 
     # rows: I product, Q product, sync product (local TX code times RX code);
-    # the RX code is staged in the sync row so no fourth block is live
-    products = np.empty((3, block))
-    parts = []
-    for start in range(0, n_total, block):
-        stop = min(start + block, n_total)
-        count = stop - start
-        x = received.samples[start:stop]
-        rows = products[:, :count]
+    # the RX code is staged in the sync row so no fourth block is live. The
+    # buffer is flat so that every block's rows, the last one's too, are
+    # contiguous and reshape into windows without a copy.
+    products = np.empty(3 * block)
+    sums = np.empty((2, 3, windows))  # per window: sum A_k x_k, then sum B_k x_k
+    for start in range(0, used, block):
+        count = min(block, used - start)
+        x = received.samples[start : start + count]
+        rows = products[: 3 * count].reshape(3, count)
         rows[2] = rx_code(start, count)
         np.multiply(x.real, rows[2], out=rows[0])
         np.multiply(x.imag, rows[2], out=rows[1])
         rows[2] *= tx_code(start, count)
-        y, zi = lfilter(b_coef, a_coef, rows, axis=-1, zi=zi)
-        # full windows only; a trailing partial window (final block) is dropped
-        whole = (count // dec) * dec
-        parts.append(y[:, :whole].reshape(3, -1, dec).mean(axis=2))
-        del y  # or it stays live while the next block is filtered
-    i_out, q_out, sync = np.concatenate(parts, axis=1)
+        first = start // dec
+        sums[:, :, first : first + count // dec] = np.einsum(
+            "wk,jk->jw", rows.reshape(-1, dec), weights
+        ).reshape(2, 3, -1)
+    means, ends = sums
+    # filter output at the end of each window: s[w] = P*s[w-1] + ends[w]
+    states = lfilter([1.0], [1.0, -pole_d], ends, axis=-1)
+    means[:, 1:] += carry * states[:, :-1]  # the state before window 0 is zero
+    i_out, q_out, sync = means
 
     return PdpTrace(i_out=i_out, q_out=q_out, sync=sync, config=cfg)
 

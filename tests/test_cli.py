@@ -671,14 +671,36 @@ class TestSoundCommand:
         assert manifest["config"]["extraction"]["threads"] == 2
 
 
-def test_module_entry_point():
+def run_child(*args):
     # the child imports the package under test, installed or not
     src = str(Path(sounder_sim.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "sounder_sim.cli", "--version"],
-        capture_output=True, text=True, env=env,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
     )
+
+
+def test_module_entry_point():
+    result = run_child("-m", "sounder_sim.cli", "--version")
     assert result.returncode == 0
     assert result.stdout.strip()
+
+
+def test_cli_import_and_config_load_need_no_scipy(tmp_path):
+    # scipy.signal costs over a second of start-up; only sounding uses it
+    readme_desk = {
+        "schema_version": 1,
+        "pn": {"stages": 9, "taps": [9, 5]},
+        "sounder": {"alpha": "1 MHz", "beta": "995 kHz", "sample_rate": "4 MHz"},
+        "extraction": {"periods": 4, "floor_db": -12.0},
+    }
+    cfg = write_json(tmp_path / "desk.json", readme_desk)
+    script = (
+        "import sys, sounder_sim.cli\n"
+        "sounder_sim.cli.load_config(sys.argv[1])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    result = run_child("-c", script, cfg)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 import sounder_sim.sounder as sounder_mod
 import sounder_sim.waveform as waveform_mod
@@ -25,7 +26,7 @@ from sounder_sim.errors import (
     NoSyncPeak,
     SampleRateMismatch,
 )
-from sounder_sim.pn import default_config, generate_period
+from sounder_sim.pn import PnConfig, default_config, generate_period
 from sounder_sim.sounder import (
     Mode,
     PdpTrace,
@@ -54,6 +55,60 @@ def per_sample_code(table, start, count, chips_per_sample):
 
 def per_sample_source(table, chips_per_sample, span):
     return lambda start, count: per_sample_code(table, start, count, chips_per_sample)
+
+
+def product_rows(received, cfg):
+    """The I, Q and sync mixer products of every input sample."""
+    table = generate_period(cfg.pn).bipolar()
+    count = len(received)
+    rx = per_sample_code(table, 0, count, cfg.beta_effective / cfg.sample_rate)
+    tx = per_sample_code(table, 0, count, cfg.alpha / cfg.sample_rate)
+    x = received.samples
+    return np.stack([x.real * rx, x.imag * rx, tx * rx])
+
+
+def full_rate_windows(received, cfg):
+    """The full-rate one-pole lfilter and window means that the correlator's
+    per-window closed form replaced, kept as reference."""
+    pole = math.exp(-2.0 * math.pi * cfg.lpf_cutoff / cfg.sample_rate)
+    y = lfilter([1.0 - pole], [1.0, -pole], product_rows(received, cfg), axis=-1)
+    dec = cfg.decimation
+    whole = (y.shape[1] // dec) * dec
+    return y[:, :whole].reshape(3, -1, dec).mean(axis=2)
+
+
+def longdouble_windows(received, cfg):
+    """The same filter and window means, one sample at a time in long double."""
+    rows = product_rows(received, cfg).astype(np.longdouble)
+    pole = np.exp(np.longdouble(-2.0 * math.pi * cfg.lpf_cutoff / cfg.sample_rate))
+    dec = cfg.decimation
+    state = np.zeros(3, dtype=np.longdouble)
+    total = np.zeros(3, dtype=np.longdouble)
+    windows = []
+    for n in range((rows.shape[1] // dec) * dec):
+        state = pole * state + (1 - pole) * rows[:, n]
+        total += state
+        if (n + 1) % dec == 0:
+            windows.append(total / dec)
+            total[:] = 0
+    return np.stack(windows, axis=1)
+
+
+def random_capture(cfg, periods=1.1, seed=5):
+    """Noise covering `periods` dilated periods, ending in a partial window
+    when dec > 1."""
+    dec = cfg.decimation
+    count = int(periods * cfg.dilated_period * cfg.sample_rate) // dec * dec
+    count += (dec + 1) // 2
+    rng = np.random.default_rng(seed)
+    return SampledWaveform(
+        samples=rng.standard_normal(count) + 1j * rng.standard_normal(count),
+        sample_rate=cfg.sample_rate,
+    )
+
+
+def trace_rows(trace):
+    return np.stack([trace.i_out, trace.q_out, trace.sync])
 
 
 def desk_config(**overrides):
@@ -315,6 +370,71 @@ class TestSlidingCorrelate:
         assert np.array_equal(full[2].i_out, chunked[2].i_out)
         assert np.array_equal(full[2].q_out, chunked[2].q_out)
         assert np.array_equal(full[2].sync, chunked[2].sync)
+
+    @pytest.mark.parametrize(
+        "cfg,dec",
+        [
+            # the paper's decimation, gamma 20000
+            (SounderConfig(pn=default_config(5), alpha=1e9, beta=999.95e6), 2500),
+            # no averaging at all: every filter output is a slow sample
+            (SounderConfig(pn=PN9, alpha=1e6, beta=0.995e6, sample_rate=4e6,
+                           lpf_cutoff=1e6), 1),
+            # windows longer than einsum's 8192-element buffer
+            (SounderConfig(pn=PnConfig(stages=3, taps=(3, 2)), alpha=1e9,
+                           beta=999.98e6, lpf_cutoff=25e3), 10000),
+        ],
+    )
+    def test_block_size_does_not_change_windows(self, cfg, dec, monkeypatch):
+        assert cfg.decimation == dec
+        received = random_capture(cfg)
+        whole = sliding_correlate(received, cfg)
+        default_block = waveform_mod.block_length(dec)
+        monkeypatch.setattr(waveform_mod, "BLOCK", 77777)
+        blocked = sliding_correlate(received, cfg)
+        assert default_block % waveform_mod.block_length(dec)
+        assert len(received) > 2 * waveform_mod.block_length(dec)  # several blocks
+        assert len(whole) == len(blocked) == len(received) // dec
+        assert trace_rows(whole).tobytes() == trace_rows(blocked).tobytes()
+
+    @pytest.mark.parametrize(
+        "lpf_cutoff,alpha,beta,sample_rate,pn,dec",
+        [
+            (1e6, 1e6, 0.995e6, 4e6, default_config(5), 1),  # pole 0.21
+            (400e3, 1e6, 0.995e6, 4e6, default_config(5), 1),  # pole 0.53
+            (200e3, 1e6, 0.995e6, 4e6, default_config(5), 2),
+            (150e3, 1e6, 0.995e6, 4e6, default_config(5), 3),
+            (None, 1e6, 0.995e6, 4e6, default_config(5), 50),  # pole 0.984
+            (30e3, 1e6, 0.995e6, 4.3e6, PN9, 17),
+            (None, 1e9, 999.95e6, 2e9, default_config(5), 2500),  # pole 0.99937
+        ],
+    )
+    def test_window_closed_form_matches_full_rate_filter(
+        self, lpf_cutoff, alpha, beta, sample_rate, pn, dec
+    ):
+        cfg = SounderConfig(pn=pn, alpha=alpha, beta=beta, sample_rate=sample_rate,
+                            lpf_cutoff=lpf_cutoff)
+        assert cfg.decimation == dec
+        received = random_capture(cfg)
+        assert len(received) % dec or dec == 1  # ends in a partial window
+        new = trace_rows(sliding_correlate(received, cfg))
+        old = full_rate_windows(received, cfg)
+        assert new.shape == old.shape == (3, len(received) // dec)
+        for new_row, old_row in zip(new, old):
+            peak = np.abs(old_row).max()
+            assert np.abs(new_row - old_row).max() <= 1e-12 * peak
+
+    def test_window_closed_form_matches_long_double_recurrence(self):
+        cfg = SounderConfig(pn=default_config(5), alpha=1e6, beta=0.99e6,
+                            sample_rate=4e6)
+        assert cfg.decimation == 25
+        received = random_capture(cfg)
+        new = trace_rows(sliding_correlate(received, cfg))
+        exact = longdouble_windows(received, cfg)
+        # float64 sums of dec terms per window: a few dec*eps of the peak
+        bound = 4 * cfg.decimation * np.finfo(np.float64).eps
+        for new_row, exact_row in zip(new, exact):
+            peak = float(np.abs(exact_row).max())
+            assert float(np.abs(new_row - exact_row).max()) <= bound * peak
 
     @pytest.mark.parametrize(
         "pn,alpha,beta,sample_rate",
