@@ -44,7 +44,10 @@ from .waveform import (
     ratio_to_db,
 )
 
-# The TX and received complex128 arrays are the only whole-capture arrays.
+# The TX and received complex128 arrays are the only whole-capture arrays
+# live together. A tiled code period (_code_source) takes at most 8 bytes per
+# sample: tx_baseband holds one beside its output, and the correlator at most
+# two beside the received array, once the TX array is gone.
 _CAPTURE_BYTES_PER_SAMPLE = 32
 
 
@@ -196,40 +199,54 @@ def _bipolar_table(pn: PnConfig) -> np.ndarray:
     return table
 
 
-def _code_source(table: np.ndarray, chips_per_sample: float, span: int):
+def _code_source(table: np.ndarray, chips_per_sample: float, span: int, total: int):
     """code(start, count): the bipolar code at samples start..start+count-1.
 
     Sample n carries chip floor(n * chips_per_sample) mod L, evaluated in
-    float64, for any count <= span. When chips_per_sample is 2**-k (k >= 0),
-    n * chips_per_sample is exact for n < 2**53 (captures, bounded by
-    physical memory, stay far below), so sample n carries chip (n >> k) mod L
-    and the samples repeat every L * 2**k. If that period fits in span,
-    code() returns a read-only slice of one tiled copy of the period, span
-    plus one period long; otherwise it evaluates the formula per sample.
+    float64, for any count <= span and start + count <= total. When
+    chips_per_sample is 2**-k (k >= 0), n * chips_per_sample is exact for
+    n < 2**53 (captures, bounded by physical memory, stay far below), so
+    sample n carries chip (n >> k) mod L and the samples repeat every
+    L * 2**k. code() then returns read-only slices of one tiled copy of that
+    period, min(total, span + period - 1) samples long: at most 8 bytes per
+    sample of the capture, whatever the period. Otherwise it evaluates the
+    formula per sample, truncating n * chips_per_sample (>= 0, so the same
+    as floor) and indexing a copy of the table repeated to cover one call,
+    from the whole period that holds the call's first chip.
     """
     mantissa, exponent = math.frexp(chips_per_sample)
     shift = 1 - exponent  # chips_per_sample is 2**-shift if mantissa is 0.5
-    period = table.size << shift if mantissa == 0.5 and shift >= 0 else 0
-    tiled = None
-    if 0 < period <= span:
-        tiled = np.empty(span + period - 1)
-        tiled[:period] = np.repeat(table, 1 << shift)
-        filled = period  # a whole number of periods, so copies stay in phase
+    if mantissa == 0.5 and shift >= 0:
+        period = table.size << shift
+        tiled = np.empty(min(total, span + period - 1))
+        head = min(period, tiled.size)
+        tiled[:head] = table[np.arange(head) >> shift]
+        filled = head  # a whole number of periods, so copies stay in phase
         while filled < tiled.size:
             copied = min(filled, tiled.size - filled)
             tiled[filled : filled + copied] = tiled[:copied]
             filled += copied
         tiled.setflags(write=False)
 
-    def code(start: int, count: int) -> np.ndarray:
-        if tiled is not None:
+        def code(start: int, count: int) -> np.ndarray:
             offset = start % period
             return tiled[offset : offset + count]
+
+        return code
+
+    # a call whose first chip sits at first % L <= L - 1 spans at most
+    # span * chips_per_sample + 1 more chips, the float64 rounding of both
+    # end products included while 2 * start + count < 2**53
+    reach = table.size + int(span * chips_per_sample) + 1
+    repeated = np.tile(table, -(-reach // table.size))
+
+    def code(start: int, count: int) -> np.ndarray:
         n = np.arange(start, start + count, dtype=np.float64)
         n *= chips_per_sample
-        idx = np.floor(n, out=n).astype(np.int64)
-        idx %= table.size
-        return table[idx]
+        idx = n.astype(np.int64)
+        first = int(idx[0])
+        idx -= first - first % table.size
+        return repeated[idx]
 
     return code
 
@@ -274,7 +291,9 @@ def tx_baseband(cfg: SounderConfig) -> SampledWaveform:
         raise ConfigError("tx_baseband needs a config with mode=TX")
     count = _capture_samples(cfg)
     block = min(block_length(), count)
-    code = _code_source(_bipolar_table(cfg.pn), cfg.alpha / cfg.sample_rate, block)
+    code = _code_source(
+        _bipolar_table(cfg.pn), cfg.alpha / cfg.sample_rate, block, count
+    )
     samples = np.zeros(count, dtype=np.complex128)
     real = samples.real
     for start in range(0, count, block):
@@ -332,8 +351,8 @@ def sliding_correlate(received: SampledWaveform, cfg: SounderConfig) -> PdpTrace
     used = windows * dec  # a trailing partial window is never multiplied
     block = min(block_length(dec), used)
     table = _bipolar_table(cfg.pn)
-    rx_code = _code_source(table, cfg.beta_effective / fs, block)
-    tx_code = _code_source(table, cfg.alpha / fs, block)
+    rx_code = _code_source(table, cfg.beta_effective / fs, block, used)
+    tx_code = _code_source(table, cfg.alpha / fs, block, used)
 
     # rows: I product, Q product, sync product (local TX code times RX code);
     # the RX code is staged in the sync row so no fourth block is live. The

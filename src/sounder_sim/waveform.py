@@ -23,10 +23,16 @@ from .pn import ChipSequence
 DB_FLOOR = -300.0  # power ratios are clipped here so log10 never sees zero
 
 # Streaming block length in samples, shared by the TX, channel and
-# correlator stages. The correlator's three product rows (6 MiB) stay below
-# the 8 MiB one-row arrays of 1 << 20 samples: a larger freed block raises
-# glibc's mmap threshold and peak RSS with it.
-BLOCK = 1 << 18
+# correlator stages, sized so that one block's working set stays in a core's
+# L2 cache (2 MiB on the 2-core Xeon VM it was measured on). At 1 << 14 a
+# channel path step touches 0.75 MiB (input slice, scratch, output) and a
+# correlator block about 1 MiB (input, three product rows, code lookup
+# temporaries). TX + channel + correlator CPU time on the paper-gamma inputs,
+# min of 5, two sweeps: 0.42-0.45 s at 1 << 13, 0.39-0.41 s at 1 << 14,
+# 0.42-0.45 s at 1 << 15, 0.50-0.52 s at 1 << 16 and 0.56 s at 1 << 18, where
+# every block streamed from L3. Larger blocks cost memory too: a freed block
+# raises glibc's mmap threshold and peak RSS with it.
+BLOCK = 1 << 14
 
 
 def block_length(multiple: int = 1) -> int:

@@ -237,6 +237,32 @@ def test_criterion_5_delay_resolution():
         info["extra"] = f"path counts {counts}"
 
 
+def test_criterion_5_delay_resolution_at_paper_rates():
+    # the paper's own rates: 1 GHz / 999.95 MHz chips (gamma 20000), fs 2 GHz,
+    # N = 5 so that one case is 6.51 M samples
+    title = "1 ns resolved, 0.4 ns merged at 1 GHz / 999.95 MHz chips"
+    with criterion(5, title) as info:
+        cfg = SounderConfig(
+            pn=default_config(5), alpha=1e9, beta=999.95e6, sample_rate=2e9,
+            mode=Mode.TX,
+        )
+        assert cfg.gamma == 20000.0
+        tx = tx_baseband(cfg)
+        rx_cfg = dataclasses.replace(cfg, mode=Mode.RX)
+        found = {}
+        for separation_ns in (1.0, 0.4):
+            ch = ChannelModel(
+                paths=(PathSpec(0.0), PathSpec(separation_ns * 1e-9, 0.0, math.pi / 2))
+            )
+            trace = sliding_correlate(apply_channel(tx, ch), rx_cfg)
+            prof = extract_pdp(trace, 4, bins_per_chip=4)
+            paths = extract_paths(prof, floor_db=RESOLUTION_FLOOR_DB)
+            found[separation_ns] = [round(p.delay * 1e9, 3) for p in paths]
+        assert found[1.0] == [0.0, 1.0]
+        assert len(found[0.4]) == 1
+        info["extra"] = f"{len(tx)} samples per case, paths at {found} ns"
+
+
 def test_criterion_6_oracle_equivalence():
     with criterion(6, "streaming profiles match the cyclic-correlation oracle") as info:
         seq = generate_period(default_config(9), chip_rate=1e6)

@@ -4,11 +4,14 @@ Commands run in-process via main(argv) so exit codes and outputs are checked
 without shelling out; one subprocess smoke test covers the module entry.
 """
 
+import contextlib
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -167,15 +170,23 @@ class TestRunSpec:
             spec.sounder_config()
 
 
-# Any JSON value: what json.load can hand the config reader, inf and nan
-# included (Python's json reads 1e999 and NaN).
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats()
-    | st.text(max_size=6) | st.sampled_from(["1 MHz", "-3 kHz", "1e999", "nan", "0x1f"]),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=4,
-)
+def any_json(integers):
+    """Any JSON value: what json.load can hand the config reader, inf and
+    nan included (Python's json reads 1e999 and NaN)."""
+    return st.recursive(
+        st.none() | st.booleans() | integers | st.floats()
+        | st.text(max_size=6) | st.sampled_from(["1 MHz", "-3 kHz", "1e999", "nan", "0x1f"]),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=4,
+    )
+
+
+json_values = any_json(st.integers())
+# The values of the command-line fuzz test: integers held to codes that
+# generate in milliseconds (a code is stepped chip by chip, and 2**20 chips
+# take a second), plus a few beyond every limit.
+cli_values = any_json(st.integers(-2, 16) | st.sampled_from([65, 2**64]))
 
 SECTION_KEYS = {
     "pn": ["stages", "structure", "taps", "seed", "stage_select", "tap_word"],
@@ -195,9 +206,9 @@ def channel_doc():
             "snr_db": 20.0, "seed": 3}
 
 
-def overrides(keys):
+def overrides(keys, values=json_values):
     """Some of keys, each set to an arbitrary JSON value."""
-    return st.fixed_dictionaries({}, optional={key: json_values for key in keys})
+    return st.fixed_dictionaries({}, optional={key: values for key in keys})
 
 
 class TestFuzzedDocuments:
@@ -232,6 +243,91 @@ class TestFuzzedDocuments:
             ChannelModel.from_json_dict(doc)
         except SounderSimError:
             pass
+
+
+def small_doc():
+    """A config whose `sound` run is 49,600 samples: a 31-chip code at gamma
+    200, fs 2 MHz, four dilated periods."""
+    return {
+        "schema_version": 1,
+        "pn": {"stages": 5, "taps": [5, 3]},
+        "sounder": {"alpha": "1 MHz", "beta": "995 kHz", "sample_rate": "2 MHz",
+                    "capture": 0.0248},
+        "extraction": {"periods": 2, "floor_db": -10.0},
+        "spectrum": {},
+        "channel": channel_doc(),
+    }
+
+
+CLI_COMMANDS = {
+    "pn gen": lambda cfg, out: ["pn", "gen", "--config", cfg, "--out", f"{out}/chips.txt"],
+    "pn validate": lambda cfg, out: ["pn", "validate", "--config", cfg,
+                                     "--out", f"{out}/validate.json"],
+    "metrics": lambda cfg, out: ["metrics", "--config", cfg, "--out", f"{out}/metrics.json"],
+    "spectrum": lambda cfg, out: ["spectrum", "--config", cfg,
+                                  "--out", f"{out}/spectrum.csv"],
+    "sound": lambda cfg, out: ["sound", "--config", cfg, "--out", f"{out}/run"],
+}
+FUZZ_MEMORY = 64 << 20  # physical memory the command-line fuzz test claims
+
+
+def small_memory_sysconf(real):
+    """os.sysconf that reports FUZZ_MEMORY of physical memory."""
+    def sysconf(name):
+        if name == "SC_PHYS_PAGES":
+            return FUZZ_MEMORY // real("SC_PAGE_SIZE")
+        return real(name)
+    return sysconf
+
+
+def load_strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestFuzzedCommands:
+    """Arbitrary documents through cli.main: a documented exit code, no
+    traceback, and strict JSON in every file written.
+
+    The test claims 64 MiB of physical memory, so the program's own memory
+    refusals bound every run: no fuzzed capture, code, spectrum or profile
+    can grow past that.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        command=st.sampled_from(sorted(CLI_COMMANDS)),
+        section=st.sampled_from(sorted(SECTION_KEYS) + ["channel file"]),
+        data=st.data(),
+    )
+    def test_exit_code_and_strict_json(self, command, section, data):
+        doc = small_doc()
+        channel = None
+        if section == "channel file":
+            channel = channel_doc()
+            channel.update(data.draw(overrides(SECTION_KEYS["channel"], cli_values)))
+        else:
+            doc[section].update(data.draw(overrides(SECTION_KEYS[section], cli_values)))
+        if section in ("channel", "channel file"):
+            paths = (channel or doc["channel"])["paths"]
+            if isinstance(paths, list) and paths and isinstance(paths[-1], dict):
+                paths[-1].update(data.draw(overrides(PATH_KEYS, cli_values)))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "sysconf", small_memory_sysconf(os.sysconf))
+            inputs = Path(tmp) / "inputs"
+            inputs.mkdir()
+            argv = CLI_COMMANDS[command](write_json(inputs / "config.json", doc), tmp)
+            if channel is not None and command == "sound":
+                argv += ["--channel", write_json(inputs / "channel.json", channel)]
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), stderr.getvalue()
+            assert "Traceback" not in stderr.getvalue()
+            for written in Path(tmp).rglob("*.json"):
+                if inputs not in written.parents:
+                    load_strict_json(written.read_text(encoding="utf-8"))
 
 
 class TestPnCommands:

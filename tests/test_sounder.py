@@ -53,7 +53,7 @@ def per_sample_code(table, start, count, chips_per_sample):
     return table[idx]
 
 
-def per_sample_source(table, chips_per_sample, span):
+def per_sample_source(table, chips_per_sample, span, total):
     return lambda start, count: per_sample_code(table, start, count, chips_per_sample)
 
 
@@ -267,7 +267,7 @@ class TestCodeSource:
         # walks start..start+total in span-sized calls: totals shorter than
         # one period, longer than one call, and a partial last call
         table = np.random.default_rng(seed).choice([-1.0, 1.0], size)
-        code = sounder_mod._code_source(table, chips_per_sample, span)
+        code = sounder_mod._code_source(table, chips_per_sample, span, start + total)
         for s in range(start, start + total, span):
             count = min(span, start + total - s)
             expect = per_sample_code(table, s, count, chips_per_sample)
@@ -278,7 +278,7 @@ class TestCodeSource:
         table = generate_period(PN9).bipolar()
         period = 511 << shift
         span = period + 1000
-        code = sounder_mod._code_source(table, 2.0**-shift, span)
+        code = sounder_mod._code_source(table, 2.0**-shift, span, 4 * period + span)
         block = code(3 * period - 7, span)
         assert not block.flags.writeable  # a view of the tiled period
         assert block.base.size <= span + period - 1
@@ -286,11 +286,30 @@ class TestCodeSource:
             table, 3 * period - 7, span, 2.0**-shift
         ).tobytes()
 
-    @pytest.mark.parametrize("chips_per_sample", [0.995 / 4, 1 / 3, 2.0**-3])
-    def test_other_ratios_and_long_periods_use_the_formula(self, chips_per_sample):
-        # 2**-3 with a 511-chip code repeats every 4088 samples, beyond span
+    @pytest.mark.parametrize("total_periods", [0.6, 3.4])
+    def test_power_of_two_ratio_tiles_periods_beyond_the_block(self, total_periods):
+        # 2**-6 with a 511-chip code repeats every 32704 samples, more than
+        # a streaming block: still tiled, and the copy never outgrows the
+        # capture
+        table = generate_period(PN9).bipolar()
+        period = 511 << 6
+        span = waveform_mod.block_length()
+        assert period > span
+        total = int(total_periods * period)
+        code = sounder_mod._code_source(table, 2.0**-6, span, total)
+        for start in range(0, total, span):
+            count = min(span, total - start)
+            block = code(start, count)
+            assert not block.flags.writeable
+            assert block.base.size == min(total, span + period - 1)
+            assert block.tobytes() == per_sample_code(
+                table, start, count, 2.0**-6
+            ).tobytes()
+
+    @pytest.mark.parametrize("chips_per_sample", [0.995 / 4, 1 / 3])
+    def test_other_ratios_use_the_formula(self, chips_per_sample):
         code = sounder_mod._code_source(
-            generate_period(PN9).bipolar(), chips_per_sample, 4000
+            generate_period(PN9).bipolar(), chips_per_sample, 4000, 4000
         )
         assert code(0, 4000).flags.writeable
 
@@ -298,7 +317,9 @@ class TestCodeSource:
 def rx_code(cfg, span):
     """The correlator's RX code source for cfg, as sliding_correlate builds it."""
     table = sounder_mod._bipolar_table(cfg.pn)
-    return sounder_mod._code_source(table, cfg.beta_effective / cfg.sample_rate, span)
+    return sounder_mod._code_source(
+        table, cfg.beta_effective / cfg.sample_rate, span, span
+    )
 
 
 class TestRxCode:
@@ -370,6 +391,30 @@ class TestSlidingCorrelate:
         assert np.array_equal(full[2].i_out, chunked[2].i_out)
         assert np.array_equal(full[2].q_out, chunked[2].q_out)
         assert np.array_equal(full[2].sync, chunked[2].sync)
+
+    def test_block_size_does_not_change_tiled_periods_beyond_the_block(
+        self, monkeypatch
+    ):
+        # 64 samples per chip: the TX code repeats every 511 << 6 = 32704
+        # samples, longer than a default block and shorter than the other
+        cfg = SounderConfig(pn=PN9, alpha=1e6, beta=0.9e6, sample_rate=64e6,
+                            capture=1.05 * 511 * 10 / 1e6, mode=Mode.TX)
+        rx_cfg = dataclasses.replace(cfg, mode=Mode.RX)
+        channel = ChannelModel(paths=(PathSpec(0.0), PathSpec(3e-6, -6.0, 1.0)))
+
+        def chain():
+            sent = tx_baseband(cfg)
+            return sent, sliding_correlate(apply_channel(sent, channel), rx_cfg)
+
+        sent, trace = chain()
+        assert waveform_mod.block_length() < 32704
+        monkeypatch.setattr(waveform_mod, "BLOCK", 77777)
+        sent_77777, trace_77777 = chain()
+        assert sent.samples.tobytes() == sent_77777.samples.tobytes()
+        assert sent.samples.real.tobytes() == per_sample_code(
+            generate_period(PN9).bipolar(), 0, len(sent), 2.0**-6
+        ).tobytes()
+        assert trace_rows(trace).tobytes() == trace_rows(trace_77777).tobytes()
 
     @pytest.mark.parametrize(
         "cfg,dec",
