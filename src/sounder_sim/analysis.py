@@ -4,7 +4,10 @@ Peak picking honors what a spread-spectrum correlator can actually resolve:
 the delay resolution is one chip, and the code's own autocorrelation leaves
 a flat sidelobe pedestal at -20*log10(L) dB. Maxima that sit inside a
 stronger peak's chip, or down at that pedestal, are reported but flagged as
-sidelobe suspects rather than silently dropped.
+sidelobe suspects rather than silently dropped. Distances are counted in
+whole bins of the profile grid, cyclically: two maxima are within a chip
+when fewer than bins_per_chip bins apart, so the rule does not depend on
+where a pair sits on the delay axis.
 """
 
 from __future__ import annotations
@@ -40,69 +43,50 @@ def extract_paths(pdp: PdpProfile, floor_db: float) -> list[PathEstimate]:
 
     All cyclic local maxima above floor_db (relative to the 0 dB peak) are
     candidates. A candidate merges into a strictly stronger accepted peak
-    when it lies less than one chip away and the valley between them is
-    shallower than 1 dB below the candidate - that is the signature of one
-    broadened lobe sampled at sub-chip bins, not of two paths. Kept paths are
-    flagged is_sidelobe_suspect when within a chip of a stronger path or when
-    their power sits within 3 dB of the code's -20*log10(L) sidelobe pedestal.
+    when it lies less than one chip (bins_per_chip bins) away and the valley
+    between them is shallower than 1 dB below the candidate - that is the
+    signature of one broadened lobe sampled at sub-chip bins, not of two
+    paths. Kept paths are flagged is_sidelobe_suspect when within a chip of a
+    stronger path or when their power sits within 3 dB of the code's
+    -20*log10(L) sidelobe pedestal.
     """
     if not floor_db < 0:
         raise ConfigError(f"floor_db must be negative, got {floor_db}")
     power = pdp.power_db
-    if power.size == 0:
+    n = power.size
+    if n == 0:
         raise EmptyProfile("profile has no bins")
 
-    if pdp.alpha:
-        chip = 1.0 / pdp.alpha
-    elif pdp.delays.size > 1:
-        chip = (pdp.delays[1] - pdp.delays[0]) * pdp.bins_per_chip
-    else:
-        chip = 1.0
-    if pdp.delays.size > 1:
-        span = pdp.delays.size * (pdp.delays[1] - pdp.delays[0])
-    else:
-        span = chip
-
-    def cyc_dist(a: float, b: float) -> float:
-        d = abs(a - b) % span
-        return min(d, span - d)
+    def within_chip(i: int, j: int) -> bool:
+        """Whether bins i and j are less than one chip apart on the cycle."""
+        d = (i - j) % n
+        return min(d, n - d) < pdp.bins_per_chip
 
     def valley_between(i: int, j: int) -> float:
         """Deepest power on the shorter cyclic arc strictly between i and j."""
-        n = power.size
         fwd = (j - i) % n
-        back = (i - j) % n
-        if fwd <= back:
-            arc = [(i + k) % n for k in range(1, fwd)]
-        else:
-            arc = [(j + k) % n for k in range(1, back)]
-        if not arc:
+        start, length = (i, fwd) if fwd <= n - fwd else (j, n - fwd)
+        if length < 2:
             return power[i]
-        return float(np.min(power[arc]))
+        return float(np.min(power[(start + np.arange(1, length)) % n]))
 
     candidates = [k for k in plateau_peaks(power, cyclic=True) if power[k] >= floor_db]
-    candidates.sort(key=lambda k: (-power[k], pdp.delays[k]))
+    candidates.sort(key=lambda k: (-power[k], k))
 
     accepted: list[int] = []
     for k in candidates:
-        merged = False
-        for a in accepted:
-            if power[a] <= power[k]:
-                continue
-            if cyc_dist(pdp.delays[k], pdp.delays[a]) < chip:
-                if power[k] - valley_between(a, k) < 1.0:
-                    merged = True
-                    break
-        if not merged:
+        if not any(
+            power[a] > power[k]
+            and within_chip(k, a)
+            and power[k] - valley_between(a, k) < 1.0
+            for a in accepted
+        ):
             accepted.append(k)
 
     pedestal = _sidelobe_floor_db(pdp.code_length) if pdp.code_length > 1 else None
     paths = []
-    for k in accepted:
-        near_stronger = any(
-            power[a] > power[k] and cyc_dist(pdp.delays[k], pdp.delays[a]) < chip
-            for a in accepted
-        )
+    for k in sorted(accepted):
+        near_stronger = any(power[a] > power[k] and within_chip(k, a) for a in accepted)
         at_pedestal = pedestal is not None and power[k] <= pedestal + 3.0
         paths.append(
             PathEstimate(
@@ -111,7 +95,6 @@ def extract_paths(pdp: PdpProfile, floor_db: float) -> list[PathEstimate]:
                 is_sidelobe_suspect=bool(near_stronger or at_pedestal),
             )
         )
-    paths.sort(key=lambda p: p.delay)
     return paths
 
 

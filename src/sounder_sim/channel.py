@@ -21,6 +21,22 @@ from .errors import ConfigError, DelayExceedsDuration, InvalidSnr
 from .waveform import SampledWaveform, block_length
 
 
+def read_json_file(path, what: str):
+    """The JSON document in the UTF-8 file at path.
+
+    Any failure to read or decode it is a ConfigError naming what and path;
+    ValueError covers a file that is not UTF-8 or not JSON, and an integer
+    literal past Python's digit limit, RecursionError one nested too deep.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise ConfigError(f"cannot read {what} {path}: {err}") from None
+    except (ValueError, RecursionError) as err:
+        raise ConfigError(f"{what} {path} is not valid UTF-8 JSON: {err}") from None
+
+
 def check_keys(section: dict, allowed, where: str) -> None:
     """Reject a section that is not a JSON object or holds unknown keys."""
     if not isinstance(section, dict):
@@ -191,12 +207,7 @@ class ChannelModel:
 
     @classmethod
     def from_json_file(cls, path: str) -> "ChannelModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"channel file {path}: {err}") from None
-        return cls.from_json_dict(obj)
+        return cls.from_json_dict(read_json_file(path, "channel file"))
 
 
 def identity_channel() -> ChannelModel:

@@ -14,12 +14,11 @@ anywhere a config file is and reproduces the run it records.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import asdict, dataclass, field, replace
 
-from .channel import ChannelModel, check_keys, read_section, strict_int
+from .channel import ChannelModel, check_keys, read_json_file, read_section, strict_int
 from .errors import ConfigError
 from .pn import PnConfig, Structure, decode_controls
 from .sounder import Mode, SounderConfig
@@ -223,14 +222,7 @@ class RunSpec:
 
 def load_config(path) -> RunSpec:
     """Parse a config (or run manifest) JSON file into a RunSpec."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config {path} is not valid JSON: {err}") from None
-    return RunSpec.from_json_dict(obj)
+    return RunSpec.from_json_dict(read_json_file(path, "config"))
 
 
 @dataclass(frozen=True)

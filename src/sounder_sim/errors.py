@@ -1,6 +1,8 @@
-"""Exception types shared across the simulator modules, and the memory refusal."""
+"""Shared exception types, the memory refusal, and the read-only array rule."""
 
 import os
+
+import numpy as np
 
 
 class SounderSimError(Exception):
@@ -87,3 +89,16 @@ def refuse_beyond_memory(nbytes: float, what: str) -> None:
             f"{what} needs {nbytes / 2**30:.4g} GiB;"
             f" physical memory is {memory / 2**30:.4g} GiB"
         )
+
+
+def freeze_arrays(obj, dtype, *names: str) -> None:
+    """Make each named field of the frozen dataclass obj a read-only dtype array.
+
+    An array of that dtype is kept, now read-only; a None field stays None.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None:
+            value = np.asarray(value, dtype=dtype)
+            value.setflags(write=False)
+            object.__setattr__(obj, name, value)

@@ -23,6 +23,7 @@ from .errors import (
     EmptyTaps,
     NotMaximal,
     TapOutOfRange,
+    freeze_arrays,
     refuse_beyond_memory,
 )
 
@@ -173,26 +174,29 @@ def default_config(
     return PnConfig(stages=stages, structure=structure, taps=DEFAULT_TAPS[stages])
 
 
-def _msrg_inject_mask(config: PnConfig) -> int:
-    # Feedback into stage 1 plus an adder between stage t and t+1 per tap t < N.
-    mask = 1
-    for t in config.taps:
-        if t < config.stages:
-            mask |= 1 << t
-    return mask
+def _register_update(config: PnConfig):
+    """The register's clock as advance(state) -> (next state, output chip).
 
-
-def _step_int(state: int, config: PnConfig) -> tuple[int, int]:
-    n = config.stages
-    out = (state >> (n - 1)) & 1
+    States are ints, stage i in bit i-1. The feedback word is formed once
+    per code: the SSRG tap word, or the MSRG inject mask, which feeds stage 1
+    and the adder between stages t and t+1 for each tap t < N.
+    """
+    full = config.length
+    top = config.stages - 1
     if config.structure is Structure.SSRG:
-        fb = (state & _tap_word(config.taps)).bit_count() & 1
-        nxt = ((state << 1) | fb) & ((1 << n) - 1)
+        taps = _tap_word(config.taps)
+
+        def advance(state: int) -> tuple[int, int]:
+            return ((state << 1) | (state & taps).bit_count() & 1) & full, state >> top
+
     else:
-        nxt = (state << 1) & ((1 << n) - 1)
-        if out:
-            nxt ^= _msrg_inject_mask(config)
-    return nxt, out
+        inject = 1 | sum(1 << t for t in config.taps if t < config.stages)
+
+        def advance(state: int) -> tuple[int, int]:
+            out = state >> top
+            return ((state << 1) & full) ^ (inject & -out), out
+
+    return advance
 
 
 def step(state: Iterable[int], config: PnConfig) -> tuple[tuple[int, ...], int]:
@@ -209,7 +213,7 @@ def step(state: Iterable[int], config: PnConfig) -> tuple[tuple[int, ...], int]:
     if not any(bits):
         raise AllZeroState("all-zero state is absorbing")
     s = sum(b << i for i, b in enumerate(bits))
-    nxt, out = _step_int(s, config)
+    nxt, out = _register_update(config)(s)
     return tuple((nxt >> i) & 1 for i in range(config.stages)), out
 
 
@@ -222,15 +226,13 @@ class ChipSequence:
     config: PnConfig | None = None
 
     def __post_init__(self):
-        chips = np.asarray(self.chips, dtype=np.uint8)
-        if chips.ndim != 1 or chips.size == 0:
+        freeze_arrays(self, np.uint8, "chips")
+        if self.chips.ndim != 1 or self.chips.size == 0:
             raise ConfigError("chips must be a nonempty 1-D bit array")
-        if chips.max(initial=0) > 1:
+        if self.chips.max(initial=0) > 1:
             raise ConfigError("chips must be 0/1")
         if self.chip_rate <= 0:
             raise ConfigError("chip_rate must be positive")
-        chips.setflags(write=False)
-        object.__setattr__(self, "chips", chips)
 
     def __len__(self) -> int:
         return int(self.chips.size)
@@ -250,11 +252,12 @@ class ChipSequence:
 
 def measure_period(config: PnConfig) -> int:
     """Orbit length of the seed state under the register update."""
+    advance = _register_update(config)
     seed = config.seed_int()
     state = seed
     limit = config.length
     for count in range(1, limit + 1):
-        state, _ = _step_int(state, config)
+        state, _ = advance(state)
         if state == seed:
             return count
     # Unreachable for an invertible update, which N-in-taps guarantees.
@@ -267,20 +270,18 @@ def generate_period(config: PnConfig, chip_rate: float = 1.0) -> ChipSequence:
     Raises NotMaximal (carrying the observed period) when the tap set is not
     primitive for this stage count, so callers can reject bad tap words.
     """
+    advance = _register_update(config)
     seed = config.seed_int()
     state = seed
     limit = config.length
     refuse_beyond_memory(limit, f"code period of {limit:.4g} chips")
-    out = np.empty(limit, dtype=np.uint8)
+    out = bytearray(limit)
     for i in range(limit):
-        state, chip = _step_int(state, config)
-        out[i] = chip
+        state, out[i] = advance(state)
         if state == seed and i + 1 < limit:
             raise NotMaximal(i + 1, limit)
-    if state != seed:
-        # Period did not divide 2^N - 1; find it to report something useful.
-        raise NotMaximal(measure_period(config), limit)
-    return ChipSequence(chips=out, chip_rate=chip_rate, config=config)
+    chips = np.frombuffer(out, dtype=np.uint8)
+    return ChipSequence(chips=chips, chip_rate=chip_rate, config=config)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .errors import (
     InvalidRates,
     NoSyncPeak,
     SampleRateMismatch,
+    freeze_arrays,
     refuse_beyond_memory,
 )
 from .channel import ChannelModel
@@ -148,10 +149,7 @@ class PdpTrace:
     config: SounderConfig
 
     def __post_init__(self):
-        for name in ("i_out", "q_out", "sync"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze_arrays(self, np.float64, "i_out", "q_out", "sync")
         if not (self.i_out.shape == self.q_out.shape == self.sync.shape):
             raise ConfigError("i_out, q_out, sync must have equal length")
 
@@ -164,32 +162,46 @@ class PdpTrace:
 
 @dataclass(frozen=True)
 class PdpProfile:
-    """Power-delay profile: absolute delay axis, dB relative to the peak."""
+    """Power-delay profile on the code's delay grid.
 
-    delays: np.ndarray
-    power_db: np.ndarray
+    power_linear holds one power per delay bin, normalised to the 0 dB peak;
+    averaged_over counts the dilated periods folded into it. The grid is the
+    code period cut into bins_per_chip bins per chip of rate alpha, so bin k
+    sits at absolute delay k/(alpha*bins_per_chip) seconds and one chip is
+    bins_per_chip bins. delays and power_db (10*log10 of power_linear,
+    clipped at DB_FLOOR) derive from those fields, each computed on first use.
+    """
+
+    power_linear: np.ndarray
+    alpha: float
+    bins_per_chip: int
     averaged_over: int
-    power_linear: np.ndarray | None = None
-    bins_per_chip: int = 1
-    alpha: float | None = None
 
     def __post_init__(self):
-        for name in ("delays", "power_db", "power_linear"):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.asarray(arr, dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.delays.shape != self.power_db.shape:
-            raise ConfigError("delays and power_db must have matching shape")
+        freeze_arrays(self, np.float64, "power_linear")
+        if np.ndim(self.power_linear) != 1 or not self.alpha > 0 or self.bins_per_chip < 1:
+            raise ConfigError("a profile needs 1-D power, alpha > 0, bins_per_chip >= 1")
+
+    @functools.cached_property
+    def delays(self) -> np.ndarray:
+        """Absolute delay of each bin in seconds."""
+        delays = np.arange(self.power_linear.size) / (self.alpha * self.bins_per_chip)
+        delays.setflags(write=False)
+        return delays
+
+    @functools.cached_property
+    def power_db(self) -> np.ndarray:
+        """Power of each bin in dB relative to the peak."""
+        power_db = ratio_to_db(self.power_linear)
+        power_db.setflags(write=False)
+        return power_db
 
     @property
     def code_length(self) -> int:
-        return int(self.delays.size // self.bins_per_chip)
+        return int(self.power_linear.size // self.bins_per_chip)
 
     def peak_delay(self) -> float:
-        return float(self.delays[int(np.argmax(self.power_db))])
+        return float(self.delays[int(np.argmax(self.power_linear))])
 
 
 @functools.lru_cache(maxsize=32)
@@ -507,16 +519,11 @@ def extract_pdp(
     peak = float(linear.max())
     if peak <= 0:
         raise NoSyncPeak("profile is identically zero")
-    normalized = linear / peak
-    power_db = ratio_to_db(normalized)
-    delays = np.arange(n_bins) / (cfg.alpha * bins_per_chip)
     return PdpProfile(
-        delays=delays,
-        power_db=power_db,
-        averaged_over=len(usable),
-        power_linear=normalized,
-        bins_per_chip=bins_per_chip,
+        power_linear=linear / peak,
         alpha=cfg.alpha,
+        bins_per_chip=bins_per_chip,
+        averaged_over=len(usable),
     )
 
 
@@ -545,13 +552,6 @@ def fast_pdp_oracle(seq: ChipSequence, ch: ChannelModel) -> PdpProfile:
     peak = float(linear.max())
     if peak <= 0:
         raise ConfigError("channel annihilates the code; empty profile")
-    normalized = linear / peak
-    power_db = ratio_to_db(normalized)
     return PdpProfile(
-        delays=np.arange(length) / chip_rate,
-        power_db=power_db,
-        averaged_over=1,
-        power_linear=normalized,
-        bins_per_chip=1,
-        alpha=chip_rate,
+        power_linear=linear / peak, alpha=chip_rate, bins_per_chip=1, averaged_over=1
     )

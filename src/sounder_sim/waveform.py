@@ -16,6 +16,7 @@ from .errors import (
     ConfigError,
     InsufficientLength,
     JitterTooLarge,
+    freeze_arrays,
     refuse_beyond_memory,
 )
 from .pn import ChipSequence
@@ -60,13 +61,11 @@ class SampledWaveform:
     chips_per_period: int | None = None
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128)
-        if samples.ndim != 1 or samples.size == 0:
+        freeze_arrays(self, np.complex128, "samples")
+        if self.samples.ndim != 1 or self.samples.size == 0:
             raise ConfigError("samples must be a nonempty 1-D array")
         if not self.sample_rate > 0:
             raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -112,18 +111,11 @@ class PowerSpectrum:
     chip_rate: float | None = None
 
     def __post_init__(self):
-        freqs = np.asarray(self.freqs, dtype=np.float64)
-        power_db = np.asarray(self.power_db, dtype=np.float64)
-        if freqs.shape != power_db.shape or freqs.ndim != 1:
+        freeze_arrays(self, np.float64, "freqs", "power_db", "power_linear")
+        if self.freqs.shape != self.power_db.shape or self.freqs.ndim != 1:
             raise ConfigError("freqs and power_db must be matching 1-D arrays")
-        if freqs.size > 1 and not np.all(np.diff(freqs) > 0):
+        if self.freqs.size > 1 and not np.all(np.diff(self.freqs) > 0):
             raise ConfigError("freqs must be strictly increasing")
-        for name in ("freqs", "power_db", "power_linear"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr, dtype=np.float64)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
 
 
 def chips_to_waveform(

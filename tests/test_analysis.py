@@ -26,14 +26,11 @@ from sounder_sim.waveform import plateau_peaks
 
 
 def synthetic_profile(power_db, bins_per_chip=4, alpha=1e6):
-    power_db = np.asarray(power_db, dtype=np.float64)
-    delays = np.arange(power_db.size) / (alpha * bins_per_chip)
     return PdpProfile(
-        delays=delays,
-        power_db=power_db,
-        averaged_over=1,
-        bins_per_chip=bins_per_chip,
+        power_linear=10.0 ** (np.asarray(power_db, dtype=np.float64) / 10.0),
         alpha=alpha,
+        bins_per_chip=bins_per_chip,
+        averaged_over=1,
     )
 
 
@@ -113,6 +110,21 @@ class TestExtractPaths:
         assert [p.delay for p in paths] == [0.0, 4 / 4e6]
         assert not any(p.is_sidelobe_suspect for p in paths)
 
+    @pytest.mark.parametrize(
+        "shape", [[0.0, -0.6, -0.7, -0.6, -0.5], [0.0, -9.0, -9.0, -9.0, -0.5]]
+    )
+    def test_one_chip_apart_resolves_at_every_offset(self, shape):
+        # a shallow and a deep valley between maxima bins_per_chip bins apart:
+        # on a 1 Gcps grid of quarter-chip bins the float delays of the pair
+        # differ from 1 ns by rounding, which must not decide the outcome
+        base = np.full(124, -40.0)
+        base[: len(shape)] = shape
+        for offset in range(base.size):
+            power = np.roll(base, offset)
+            paths = extract_paths(synthetic_profile(power, alpha=1e9), floor_db=-10.0)
+            assert len(paths) == 2, offset
+            assert not any(p.is_sidelobe_suspect for p in paths), offset
+
     def test_merge_works_across_the_cyclic_boundary(self):
         power = np.full(32, -40.0)
         power[0] = 0.0
@@ -145,7 +157,7 @@ class TestExtractPaths:
 
     def test_empty_profile_rejected(self):
         prof = PdpProfile(
-            delays=np.array([]), power_db=np.array([]), averaged_over=1
+            power_linear=np.array([]), alpha=1e6, bins_per_chip=1, averaged_over=1
         )
         with pytest.raises(EmptyProfile):
             extract_paths(prof, floor_db=-10.0)

@@ -383,6 +383,28 @@ class TestPnCommands:
         bad.write_text("{not json", encoding="utf-8")
         assert main(["pn", "validate", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("target", ["config", "channel file"])
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff{}", b'{"seed": ' + b"1" * 5000 + b"}", b"[" * 100000 + b"]" * 100000],
+        ids=["not-utf8", "integer-past-digit-limit", "nested-past-recursion-limit"],
+    )
+    def test_undecodable_file_exits_2(self, tmp_path, capsys, target, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        out = tmp_path / "out"
+        argv = ["sound", "--out", str(out)]
+        if target == "config":
+            argv += ["--config", str(bad)]
+        else:
+            argv += ["--config", write_json(tmp_path / "cfg.json", desk_doc())]
+            argv += ["--channel", str(bad)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {target} {bad} is not valid UTF-8 JSON: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSpectrumCommand:
     def test_gigachip_spectrum(self, tmp_path):

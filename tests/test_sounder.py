@@ -29,6 +29,7 @@ from sounder_sim.errors import (
 from sounder_sim.pn import PnConfig, default_config, generate_period
 from sounder_sim.sounder import (
     Mode,
+    PdpProfile,
     PdpTrace,
     SounderConfig,
     extract_pdp,
@@ -38,7 +39,7 @@ from sounder_sim.sounder import (
     sliding_factor,
     tx_baseband,
 )
-from sounder_sim.waveform import SampledWaveform, power_spectrum
+from sounder_sim.waveform import SampledWaveform, power_spectrum, ratio_to_db
 
 PN9 = default_config(9)
 CHIP = 1e-6  # desk-scale chip duration (alpha = 1 MHz)
@@ -676,3 +677,29 @@ class TestOracle:
         seq = generate_period(PN9, chip_rate=1e6)
         with pytest.raises(ConfigError):
             fast_pdp_oracle(seq, ChannelModel(paths=(PathSpec(0.0),), snr_db=20.0))
+
+
+class TestPdpProfile:
+    def test_grid_and_db_derive_from_linear_power(self):
+        power = np.array([1.0, 0.5, 0.0, 0.25, 1e-40, 0.125, 0.1, 0.2])
+        prof = PdpProfile(power_linear=power, alpha=1e9, bins_per_chip=4, averaged_over=2)
+        assert np.array_equal(prof.delays, np.arange(8) / 4e9)
+        assert np.array_equal(prof.power_db, ratio_to_db(power))
+        assert prof.delays is prof.delays and prof.power_db is prof.power_db
+        assert prof.code_length == 2
+        for name in ("power_linear", "delays", "power_db"):
+            with pytest.raises(ValueError):
+                getattr(prof, name)[0] = 0.5
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(prof, name, power)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("power_linear", np.ones((2, 2))), ("power_linear", None),
+         ("alpha", 0.0), ("alpha", math.nan), ("bins_per_chip", 0)],
+    )
+    def test_malformed_grid_rejected(self, field, value):
+        fields = dict(power_linear=np.ones(4), alpha=1e6, bins_per_chip=1, averaged_over=1)
+        fields[field] = value
+        with pytest.raises(ConfigError):
+            PdpProfile(**fields)
