@@ -268,6 +268,6 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
     return SampledWaveform(
         samples=out,
         sample_rate=w.sample_rate,
-        chip_rate=w.chip_rate,
+        samples_per_chip=w.samples_per_chip,
         chips_per_period=w.chips_per_period,
     )

@@ -110,7 +110,8 @@ def cmd_spectrum(args) -> int:
     w = chips_to_waveform(seq, sp.samples_per_chip, sp.periods)
     ps = power_spectrum(w, fft_size=sp.fft_size)
     nulls = find_spectral_nulls(ps, count=sp.null_count)
-    write_spectrum_csv(args.out, ps)
+    if not nulls:
+        raise ConfigError("the spectrum shows no null below its top frequency")
     summary = {
         "chip_rate_hz": chip_rate,
         "code_length": spec.pn.length,
@@ -119,6 +120,7 @@ def cmd_spectrum(args) -> int:
         "nulls_hz": [float(f) for f in nulls],
         "first_null_hz": float(nulls[0]),
     }
+    write_spectrum_csv(args.out, ps)
     _emit_json(summary, str(Path(args.out).with_suffix(".json")))
     return 0
 

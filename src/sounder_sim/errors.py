@@ -91,6 +91,12 @@ def refuse_beyond_memory(nbytes: float, what: str) -> None:
         )
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """array, made read-only, as every array a result type holds or derives."""
+    array.setflags(write=False)
+    return array
+
+
 def freeze_arrays(obj, dtype, *names: str) -> None:
     """Make each named field of the frozen dataclass obj a read-only dtype array.
 
@@ -99,6 +105,4 @@ def freeze_arrays(obj, dtype, *names: str) -> None:
     for name in names:
         value = getattr(obj, name)
         if value is not None:
-            value = np.asarray(value, dtype=dtype)
-            value.setflags(write=False)
-            object.__setattr__(obj, name, value)
+            object.__setattr__(obj, name, read_only(np.asarray(value, dtype=dtype)))

@@ -13,9 +13,10 @@ filter pass.
 The relative code slip sweeps one full code period every dilated_period
 L*gamma/alpha seconds, with gamma = alpha/(alpha - beta); a true propagation
 delay tau therefore appears gamma*tau after the sync peak in slow time. Each
-code is generated by sample-indexed chip lookup: sample n of a code clocked
-at rate carries chip floor(n * (rate/fs)) mod L, the product evaluated in
-float64, so the slip is exact and no resampling error enters.
+code is generated by sample-indexed chip lookup (waveform.code_source):
+sample n of a code clocked at rate carries chip floor(n * (rate/fs)) mod L,
+exactly n // m at a whole m samples per chip, else with the product
+evaluated in float64, so the slip is exact and no resampling error enters.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .errors import (
     NoSyncPeak,
     SampleRateMismatch,
     freeze_arrays,
+    read_only,
     refuse_beyond_memory,
 )
 from .channel import ChannelModel
@@ -42,11 +44,13 @@ from .pn import ChipSequence, PnConfig, generate_period
 from .waveform import (
     SampledWaveform,
     block_length,
+    code_source,
     ratio_to_db,
+    sample_code,
 )
 
 # The TX and received complex128 arrays are the only whole-capture arrays
-# live together. A tiled code period (_code_source) takes at most 8 bytes per
+# live together. A tiled code period (code_source) takes at most 8 bytes per
 # sample: tx_baseband holds one beside its output, and the correlator at most
 # two beside the received array, once the TX array is gone.
 _CAPTURE_BYTES_PER_SAMPLE = 32
@@ -185,16 +189,13 @@ class PdpProfile:
     @functools.cached_property
     def delays(self) -> np.ndarray:
         """Absolute delay of each bin in seconds."""
-        delays = np.arange(self.power_linear.size) / (self.alpha * self.bins_per_chip)
-        delays.setflags(write=False)
-        return delays
+        bins = np.arange(self.power_linear.size)
+        return read_only(bins / (self.alpha * self.bins_per_chip))
 
     @functools.cached_property
     def power_db(self) -> np.ndarray:
         """Power of each bin in dB relative to the peak."""
-        power_db = ratio_to_db(self.power_linear)
-        power_db.setflags(write=False)
-        return power_db
+        return read_only(ratio_to_db(self.power_linear))
 
     @property
     def code_length(self) -> int:
@@ -206,61 +207,7 @@ class PdpProfile:
 
 @functools.lru_cache(maxsize=32)
 def _bipolar_table(pn: PnConfig) -> np.ndarray:
-    table = generate_period(pn).bipolar()
-    table.setflags(write=False)
-    return table
-
-
-def _code_source(table: np.ndarray, chips_per_sample: float, span: int, total: int):
-    """code(start, count): the bipolar code at samples start..start+count-1.
-
-    Sample n carries chip floor(n * chips_per_sample) mod L, evaluated in
-    float64, for any count <= span and start + count <= total. When
-    chips_per_sample is 2**-k (k >= 0), n * chips_per_sample is exact for
-    n < 2**53 (captures, bounded by physical memory, stay far below), so
-    sample n carries chip (n >> k) mod L and the samples repeat every
-    L * 2**k. code() then returns read-only slices of one tiled copy of that
-    period, min(total, span + period - 1) samples long: at most 8 bytes per
-    sample of the capture, whatever the period. Otherwise it evaluates the
-    formula per sample, truncating n * chips_per_sample (>= 0, so the same
-    as floor) and indexing a copy of the table repeated to cover one call,
-    from the whole period that holds the call's first chip.
-    """
-    mantissa, exponent = math.frexp(chips_per_sample)
-    shift = 1 - exponent  # chips_per_sample is 2**-shift if mantissa is 0.5
-    if mantissa == 0.5 and shift >= 0:
-        period = table.size << shift
-        tiled = np.empty(min(total, span + period - 1))
-        head = min(period, tiled.size)
-        tiled[:head] = table[np.arange(head) >> shift]
-        filled = head  # a whole number of periods, so copies stay in phase
-        while filled < tiled.size:
-            copied = min(filled, tiled.size - filled)
-            tiled[filled : filled + copied] = tiled[:copied]
-            filled += copied
-        tiled.setflags(write=False)
-
-        def code(start: int, count: int) -> np.ndarray:
-            offset = start % period
-            return tiled[offset : offset + count]
-
-        return code
-
-    # a call whose first chip sits at first % L <= L - 1 spans at most
-    # span * chips_per_sample + 1 more chips, the float64 rounding of both
-    # end products included while 2 * start + count < 2**53
-    reach = table.size + int(span * chips_per_sample) + 1
-    repeated = np.tile(table, -(-reach // table.size))
-
-    def code(start: int, count: int) -> np.ndarray:
-        n = np.arange(start, start + count, dtype=np.float64)
-        n *= chips_per_sample
-        idx = n.astype(np.int64)
-        first = int(idx[0])
-        idx -= first - first % table.size
-        return repeated[idx]
-
-    return code
+    return read_only(generate_period(pn).bipolar())
 
 
 def _window_weights(omega: float, dec: int):
@@ -297,27 +244,18 @@ def tx_baseband(cfg: SounderConfig) -> SampledWaveform:
     """The sounding waveform: capture seconds of the bipolar code at rate alpha.
 
     Chip k spans [k/alpha, (k+1)/alpha); sample n takes the chip at t = n/fs,
-    so chip boundaries sit on the exact time grid for any fs >= 2*alpha.
+    so chip boundaries sit on the exact time grid for any fs >= 2*alpha. The
+    waveform is framed in chips only when fs/alpha is a whole number.
     """
     if cfg.mode is not Mode.TX:
         raise ConfigError("tx_baseband needs a config with mode=TX")
     count = _capture_samples(cfg)
-    block = min(block_length(), count)
-    code = _code_source(
-        _bipolar_table(cfg.pn), cfg.alpha / cfg.sample_rate, block, count
-    )
-    samples = np.zeros(count, dtype=np.complex128)
-    real = samples.real
-    for start in range(0, count, block):
-        stop = min(start + block, count)
-        real[start:stop] = code(start, stop - start)
-    ratio = cfg.sample_rate / cfg.alpha
-    integer_oversampling = ratio == int(ratio)
+    m = cfg.sample_rate / cfg.alpha
     return SampledWaveform(
-        samples=samples,
+        samples=sample_code(_bipolar_table(cfg.pn), cfg.alpha, cfg.sample_rate, count),
         sample_rate=cfg.sample_rate,
-        chip_rate=cfg.alpha if integer_oversampling else None,
-        chips_per_period=cfg.pn.length if integer_oversampling else None,
+        samples_per_chip=int(m) if m.is_integer() else None,
+        chips_per_period=cfg.pn.length if m.is_integer() else None,
     )
 
 
@@ -363,8 +301,8 @@ def sliding_correlate(received: SampledWaveform, cfg: SounderConfig) -> PdpTrace
     used = windows * dec  # a trailing partial window is never multiplied
     block = min(block_length(dec), used)
     table = _bipolar_table(cfg.pn)
-    rx_code = _code_source(table, cfg.beta_effective / fs, block, used)
-    tx_code = _code_source(table, cfg.alpha / fs, block, used)
+    rx_code = code_source(table, cfg.beta_effective, fs, block, used)
+    tx_code = code_source(table, cfg.alpha, fs, block, used)
 
     # rows: I product, Q product, sync product (local TX code times RX code);
     # the RX code is staged in the sync row so no fourth block is live. The

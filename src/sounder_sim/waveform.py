@@ -1,13 +1,14 @@
-"""Sampled baseband waveforms and their spectra.
+"""Sampled baseband waveforms, the one code sampler, and spectra.
 
-Chip streams become rectangular NRZ complex-baseband waveforms (zero rise
-time, no pulse shaping). Spectra come from an averaged periodogram with no
-window, so a whole-period FFT puts every spectral line exactly on a bin and
-the sinc^2 envelope nulls collapse to numerical zero.
+Every code waveform is rectangular NRZ complex baseband (zero rise time, no
+pulse shaping) from code_source. Spectra come from an averaged periodogram
+with no window, so a whole-period FFT puts every spectral line exactly on a
+bin and the sinc^2 envelope nulls collapse to numerical zero.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +18,13 @@ from .errors import (
     InsufficientLength,
     JitterTooLarge,
     freeze_arrays,
+    read_only,
     refuse_beyond_memory,
 )
 from .pn import ChipSequence
 
 DB_FLOOR = -300.0  # power ratios are clipped here so log10 never sees zero
+NULL_CLIP_DB = -120.0  # null depths are ranked on power clipped here
 
 # Streaming block length in samples, shared by the TX, channel and
 # correlator stages, sized so that one block's working set stays in a core's
@@ -41,6 +44,66 @@ def block_length(multiple: int = 1) -> int:
     return max(multiple, (BLOCK // multiple) * multiple)
 
 
+def code_source(table: np.ndarray, rate: float, sample_rate: float, span: int, total: int):
+    """code(start, count): the bipolar code at samples start..start+count-1.
+
+    Sample n carries chip floor(n * rate / sample_rate) mod L, for count <= span
+    and start + count <= total. At a whole m = sample_rate / rate that is chip
+    (n // m) mod L, and code() slices one read-only tiled copy of the L * m
+    sample period, min(total, span + period - 1) long: at most 8 bytes per
+    capture sample. Otherwise n * (rate / sample_rate) is truncated in float64
+    (>= 0, so floor) to index a copy of the table repeated to cover one call.
+    """
+    samples_per_chip = sample_rate / rate
+    if samples_per_chip.is_integer():
+        # a framing of total samples or more holds chip 0 at every sample
+        m = int(min(samples_per_chip, total))
+        period = table.size * m
+        tiled = np.empty(min(total, span + period - 1))
+        head = min(period, tiled.size)
+        tiled[:head] = table[np.arange(head) // m]
+        filled = head  # a whole number of periods, so copies stay in phase
+        while filled < tiled.size:
+            copied = min(filled, tiled.size - filled)
+            tiled[filled : filled + copied] = tiled[:copied]
+            filled += copied
+        tiled.setflags(write=False)
+
+        def code(start: int, count: int) -> np.ndarray:
+            offset = start % period
+            return tiled[offset : offset + count]
+
+        return code
+
+    chips_per_sample = rate / sample_rate
+    # a call whose first chip sits at first % L <= L - 1 spans at most
+    # span * chips_per_sample + 1 more chips, the float64 rounding of both
+    # end products included while 2 * start + count < 2**53
+    reach = table.size + int(span * chips_per_sample) + 1
+    repeated = np.tile(table, -(-reach // table.size))
+
+    def code(start: int, count: int) -> np.ndarray:
+        n = np.arange(start, start + count, dtype=np.float64)
+        n *= chips_per_sample
+        idx = n.astype(np.int64)
+        first = int(idx[0])
+        idx -= first - first % table.size
+        return repeated[idx]
+
+    return code
+
+
+def sample_code(table: np.ndarray, rate: float, sample_rate: float, count: int):
+    """count samples of the code_source code, as complex baseband, block by block."""
+    block = min(block_length(), count)
+    code = code_source(table, rate, sample_rate, block, count)
+    samples = np.zeros(count, dtype=np.complex128)
+    for start in range(0, count, block):
+        stop = min(start + block, count)
+        samples.real[start:stop] = code(start, stop - start)
+    return samples
+
+
 def ratio_to_db(ratio: np.ndarray) -> np.ndarray:
     """10*log10 of a power ratio, clipped at DB_FLOOR."""
     return 10.0 * np.log10(np.maximum(ratio, 10.0 ** (DB_FLOOR / 10.0)))
@@ -50,14 +113,14 @@ def ratio_to_db(ratio: np.ndarray) -> np.ndarray:
 class SampledWaveform:
     """Complex baseband samples at a fixed rate.
 
-    ``chip_rate``/``chips_per_period`` are optional provenance for waveforms
+    ``samples_per_chip`` (whole) and ``chips_per_period`` frame waveforms
     built from a chip sequence; spectral-null search and jitter injection
-    need them, generic math does not.
+    need them, generic math does not. ``chip_rate`` derives from them.
     """
 
     samples: np.ndarray
     sample_rate: float
-    chip_rate: float | None = None
+    samples_per_chip: int | None = None
     chips_per_period: int | None = None
 
     def __post_init__(self):
@@ -66,6 +129,9 @@ class SampledWaveform:
             raise ConfigError("samples must be a nonempty 1-D array")
         if not self.sample_rate > 0:
             raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
+        m = self.samples_per_chip
+        if m is not None and not (isinstance(m, (int, np.integer)) and m >= 1):
+            raise ConfigError(f"samples_per_chip must be an integer >= 1, got {m!r}")
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -75,18 +141,14 @@ class SampledWaveform:
         return self.samples.size / self.sample_rate
 
     @property
-    def samples_per_chip(self) -> int | None:
-        if self.chip_rate is None:
-            return None
-        m = self.sample_rate / self.chip_rate
-        return int(round(m))
+    def chip_rate(self) -> float | None:
+        m = self.samples_per_chip
+        return None if m is None else self.sample_rate / m
 
     @property
     def samples_per_period(self) -> int | None:
-        m = self.samples_per_chip
-        if m is None or self.chips_per_period is None:
-            return None
-        return m * self.chips_per_period
+        m, chips = self.samples_per_chip, self.chips_per_period
+        return None if m is None or chips is None else m * chips
 
     def power(self) -> float:
         """Mean square magnitude."""
@@ -96,26 +158,37 @@ class SampledWaveform:
 
 @dataclass(frozen=True)
 class PowerSpectrum:
-    """Two-sided spectrum, dB relative to the peak bin.
+    """Two-sided spectrum: the unnormalized power of n bins, ascending in frequency.
 
-    ``power_linear`` keeps the unnormalized periodogram so energy bookkeeping
-    stays exact; ``line_spacing_hz`` is set for periodic inputs (reciprocal of
-    the period) and drives null finding.
+    n and sample_rate fix the grid, sample_rate/n apart; ``freqs``, ``power_db``
+    (dB relative to the peak) and ``resolution_bw`` derive from them, on first
+    use. ``line_spacing_hz``, set for periodic inputs, drives null finding.
     """
 
-    freqs: np.ndarray
-    power_db: np.ndarray
-    resolution_bw: float
-    power_linear: np.ndarray | None = None
+    power_linear: np.ndarray
+    sample_rate: float
     line_spacing_hz: float | None = None
     chip_rate: float | None = None
 
     def __post_init__(self):
-        freeze_arrays(self, np.float64, "freqs", "power_db", "power_linear")
-        if self.freqs.shape != self.power_db.shape or self.freqs.ndim != 1:
-            raise ConfigError("freqs and power_db must be matching 1-D arrays")
-        if self.freqs.size > 1 and not np.all(np.diff(self.freqs) > 0):
-            raise ConfigError("freqs must be strictly increasing")
+        freeze_arrays(self, np.float64, "power_linear")
+        if self.power_linear.ndim != 1 or self.power_linear.size == 0:
+            raise ConfigError("power_linear must be a nonempty 1-D array")
+        if float(self.power_linear.max()) <= 0:
+            raise ConfigError("all-zero waveform has no spectrum peak")
+
+    @functools.cached_property
+    def freqs(self) -> np.ndarray:
+        n = self.power_linear.size
+        return read_only(np.fft.fftshift(np.fft.fftfreq(n, d=1.0 / self.sample_rate)))
+
+    @functools.cached_property
+    def power_db(self) -> np.ndarray:
+        return read_only(ratio_to_db(self.power_linear / float(self.power_linear.max())))
+
+    @property
+    def resolution_bw(self) -> float:
+        return self.sample_rate / self.power_linear.size
 
 
 def chips_to_waveform(
@@ -132,14 +205,12 @@ def chips_to_waveform(
         raise ConfigError(f"periods must be an integer >= 1, got {periods}")
     m = int(samples_per_chip)
     count = len(seq) * m * int(periods)
-    # the tiled float64 copy and its complex128 cast are live together
+    # the complex128 samples and the sampler's tiled period are live together
     refuse_beyond_memory(count * 24, f"waveform of {count:.4g} samples")
-    one = np.repeat(seq.bipolar(), m)
-    samples = np.tile(one, int(periods)).astype(np.complex128)
     return SampledWaveform(
-        samples=samples,
+        samples=sample_code(seq.bipolar(), 1.0, m, count),  # m samples per chip
         sample_rate=seq.chip_rate * m,
-        chip_rate=seq.chip_rate,
+        samples_per_chip=m,
         chips_per_period=len(seq),
     )
 
@@ -173,23 +244,11 @@ def power_spectrum(w: SampledWaveform, fft_size: int | None = None) -> PowerSpec
     spectra = np.fft.fft(segments, axis=1)
     power = np.mean(np.abs(spectra) ** 2, axis=0) * scale
 
-    power = np.fft.fftshift(power)
-    freqs = np.fft.fftshift(np.fft.fftfreq(fft_size, d=1.0 / w.sample_rate))
-    peak = float(power.max())
-    if peak <= 0:
-        raise ConfigError("all-zero waveform has no spectrum peak")
-    power_db = ratio_to_db(power / peak)
-
-    line_spacing = None
-    if period is not None:
-        # one line per harmonic of the period repetition rate
-        line_spacing = w.sample_rate / period
     return PowerSpectrum(
-        freqs=freqs,
-        power_db=power_db,
-        resolution_bw=w.sample_rate / fft_size,
-        power_linear=power,
-        line_spacing_hz=line_spacing,
+        power_linear=np.fft.fftshift(power),
+        sample_rate=w.sample_rate,
+        # one line per harmonic of the period repetition rate
+        line_spacing_hz=None if period is None else w.sample_rate / period,
         chip_rate=w.chip_rate,
     )
 
@@ -223,19 +282,17 @@ def plateau_peaks(values: np.ndarray, cyclic: bool) -> list[int]:
     return np.sort((starts + ends)[peak] // 2 % n).tolist()
 
 
-def find_spectral_nulls(
-    ps: PowerSpectrum, count: int, clip_db: float = -120.0
-) -> list[float]:
+def find_spectral_nulls(ps: PowerSpectrum, count: int) -> list[float]:
     """Positive frequencies of the count deepest envelope minima, ascending.
 
     For a periodic input the envelope is the spectrum sampled on the line
     grid; the sinc^2 nulls show up as line positions whose power collapses.
-    Power below clip_db is clipped first so the depth ranking is not decided
-    by numerical noise at the bottom of a null.
+    Power below NULL_CLIP_DB is clipped first so the depth ranking is not
+    decided by numerical noise at the bottom of a null.
     """
-    if count < 0:
-        raise ConfigError("count must be >= 0")
-    if ps.chip_rate is not None and count > 0:
+    if count < 1:
+        raise ConfigError(f"null count must be >= 1, got {count}")
+    if ps.chip_rate is not None:
         span = float(ps.freqs[-1])
         if span < count * ps.chip_rate:
             raise ConfigError(
@@ -256,7 +313,7 @@ def find_spectral_nulls(
     else:
         idx = np.arange(ps.freqs.size)
 
-    envelope = np.maximum(ps.power_db[idx], clip_db)
+    envelope = np.maximum(ps.power_db[idx], NULL_CLIP_DB)
     found = []
     for j in plateau_peaks(-envelope, cyclic=False):
         freq = float(ps.freqs[idx[j]])
@@ -278,7 +335,8 @@ def inject_jitter(
     """
     if rms_jitter < 0:
         raise ConfigError("rms_jitter must be >= 0")
-    if w.chip_rate is None:
+    m = w.samples_per_chip
+    if m is None:
         raise ConfigError("waveform carries no chip framing; cannot jitter edges")
     chip_period = 1.0 / w.chip_rate
     if rms_jitter >= 0.5 * chip_period:
@@ -288,9 +346,6 @@ def inject_jitter(
     if rms_jitter == 0:
         return w
 
-    m = w.samples_per_chip
-    if m is None or m < 1 or w.sample_rate != w.chip_rate * m:
-        raise ConfigError("sample_rate must be an integer multiple of chip_rate")
     n = len(w)
     if n % m:
         raise ConfigError("waveform must hold a whole number of chips")
@@ -310,6 +365,6 @@ def inject_jitter(
     return SampledWaveform(
         samples=samples,
         sample_rate=w.sample_rate,
-        chip_rate=w.chip_rate,
+        samples_per_chip=m,
         chips_per_period=w.chips_per_period,
     )

@@ -159,12 +159,12 @@ def _measured_line_spacing(ps, chip_rate):
 
 
 def _mirrored_negative_half(ps):
-    mask = ps.freqs < 0
+    # bin k of an even-length grid holds -f of bin n - k, so flipping and
+    # rolling by one puts the negative half on the positive frequencies
+    assert ps.power_linear.size % 2 == 0
     return PowerSpectrum(
-        freqs=-ps.freqs[mask][::-1],
-        power_db=ps.power_db[mask][::-1],
-        resolution_bw=ps.resolution_bw,
-        power_linear=ps.power_linear[mask][::-1],
+        power_linear=np.roll(ps.power_linear[::-1], 1),
+        sample_rate=ps.sample_rate,
         line_spacing_hz=ps.line_spacing_hz,
         chip_rate=ps.chip_rate,
     )

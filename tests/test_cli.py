@@ -442,6 +442,21 @@ class TestSpectrumCommand:
         )
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 2
 
+    @pytest.mark.parametrize("null_count", [0, -1])
+    def test_no_null_to_report_exits_2_writing_nothing(self, tmp_path, capsys, null_count):
+        cfg = write_json(
+            tmp_path / "cfg.json",
+            {"pn": {"stages": 5, "taps": [5, 3]},
+             "spectrum": {"chip_rate": "1 MHz", "null_count": null_count}},
+        )
+        outdir = tmp_path / "o"
+        outdir.mkdir()
+        assert main(["spectrum", "--config", cfg, "--out", str(outdir / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: null count must be >= 1")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert list(outdir.iterdir()) == []
+
     def test_needs_a_chip_rate(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {"pn": {"stages": 5, "taps": [5, 3]}})
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 2

@@ -54,7 +54,8 @@ def per_sample_code(table, start, count, chips_per_sample):
     return table[idx]
 
 
-def per_sample_source(table, chips_per_sample, span, total):
+def per_sample_source(table, rate, sample_rate, span, total):
+    chips_per_sample = rate / sample_rate
     return lambda start, count: per_sample_code(table, start, count, chips_per_sample)
 
 
@@ -268,7 +269,9 @@ class TestCodeSource:
         # walks start..start+total in span-sized calls: totals shorter than
         # one period, longer than one call, and a partial last call
         table = np.random.default_rng(seed).choice([-1.0, 1.0], size)
-        code = sounder_mod._code_source(table, chips_per_sample, span, start + total)
+        code = waveform_mod.code_source(
+            table, chips_per_sample, 1.0, span, start + total
+        )
         for s in range(start, start + total, span):
             count = min(span, start + total - s)
             expect = per_sample_code(table, s, count, chips_per_sample)
@@ -279,7 +282,7 @@ class TestCodeSource:
         table = generate_period(PN9).bipolar()
         period = 511 << shift
         span = period + 1000
-        code = sounder_mod._code_source(table, 2.0**-shift, span, 4 * period + span)
+        code = waveform_mod.code_source(table, 1.0, 2.0**shift, span, 4 * period + span)
         block = code(3 * period - 7, span)
         assert not block.flags.writeable  # a view of the tiled period
         assert block.base.size <= span + period - 1
@@ -297,7 +300,7 @@ class TestCodeSource:
         span = waveform_mod.block_length()
         assert period > span
         total = int(total_periods * period)
-        code = sounder_mod._code_source(table, 2.0**-6, span, total)
+        code = waveform_mod.code_source(table, 1.0, 2.0**6, span, total)
         for start in range(0, total, span):
             count = min(span, total - start)
             block = code(start, count)
@@ -307,10 +310,24 @@ class TestCodeSource:
                 table, start, count, 2.0**-6
             ).tobytes()
 
-    @pytest.mark.parametrize("chips_per_sample", [0.995 / 4, 1 / 3])
+    @pytest.mark.parametrize("m", [3, 5, 49])
+    def test_whole_framing_tiles_chip_n_floordiv_m(self, m):
+        # at 49 samples per chip, floor(n * fl(1/49)) puts some chip edges
+        # a sample late (49 * fl(1/49) < 1); the tiled copy takes n // m
+        table = generate_period(PN9).bipolar()
+        total = 3 * 511 * m + 100
+        code = waveform_mod.code_source(table, 1.0, m, 5000, total)
+        for start in range(0, total, 5000):
+            count = min(5000, total - start)
+            block = code(start, count)
+            assert not block.flags.writeable
+            n = np.arange(start, start + count)
+            assert block.tobytes() == table[n // m % 511].tobytes()
+
+    @pytest.mark.parametrize("chips_per_sample", [0.995 / 4, 1e6 / 4.3e6])
     def test_other_ratios_use_the_formula(self, chips_per_sample):
-        code = sounder_mod._code_source(
-            generate_period(PN9).bipolar(), chips_per_sample, 4000, 4000
+        code = waveform_mod.code_source(
+            generate_period(PN9).bipolar(), chips_per_sample, 1.0, 4000, 4000
         )
         assert code(0, 4000).flags.writeable
 
@@ -318,8 +335,8 @@ class TestCodeSource:
 def rx_code(cfg, span):
     """The correlator's RX code source for cfg, as sliding_correlate builds it."""
     table = sounder_mod._bipolar_table(cfg.pn)
-    return sounder_mod._code_source(
-        table, cfg.beta_effective / cfg.sample_rate, span, span
+    return waveform_mod.code_source(
+        table, cfg.beta_effective, cfg.sample_rate, span, span
     )
 
 
@@ -499,7 +516,7 @@ class TestSlidingCorrelate:
             sample_rate=sample_rate,
         )
         fast = sliding_correlate(received, cfg)
-        monkeypatch.setattr(sounder_mod, "_code_source", per_sample_source)
+        monkeypatch.setattr(sounder_mod, "code_source", per_sample_source)
         reference = sliding_correlate(received, cfg)
         for name in ("i_out", "q_out", "sync"):
             assert getattr(fast, name).tobytes() == getattr(reference, name).tobytes()

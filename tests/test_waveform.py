@@ -13,13 +13,16 @@ from hypothesis import strategies as st
 
 from sounder_sim.errors import ConfigError, InsufficientLength, JitterTooLarge
 from sounder_sim.pn import ChipSequence, default_config, generate_period
+from sounder_sim.sounder import Mode, SounderConfig, tx_baseband
 from sounder_sim.waveform import (
+    PowerSpectrum,
     SampledWaveform,
     chips_to_waveform,
     find_spectral_nulls,
     inject_jitter,
     plateau_peaks,
     power_spectrum,
+    ratio_to_db,
 )
 
 
@@ -62,6 +65,27 @@ class TestChipsToWaveform:
         with pytest.raises(ConfigError):
             chips_to_waveform(seq, periods=0)
 
+    @pytest.mark.parametrize("periods", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 49])
+    def test_matches_repeat_and_tile(self, m, periods):
+        # the np.repeat/np.tile build the shared code sampler replaced
+        seq = generate_period(default_config(5))
+        reference = np.tile(np.repeat(seq.bipolar(), m), periods).astype(np.complex128)
+        w = chips_to_waveform(seq, samples_per_chip=m, periods=periods)
+        assert w.samples.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 49])
+    def test_is_the_head_of_tx_baseband(self, m):
+        pn = default_config(5)
+        cfg = SounderConfig(
+            pn=pn, alpha=1e6, beta=0.995e6, sample_rate=m * 1e6,
+            capture=3 * 31e-6, mode=Mode.TX,
+        )
+        tx = tx_baseband(cfg)
+        w = chips_to_waveform(generate_period(pn, chip_rate=1e6), m, periods=2)
+        assert tx.samples_per_chip == w.samples_per_chip == m
+        assert tx.samples[: len(w)].tobytes() == w.samples.tobytes()
+
     def test_period_mean_shows_balance(self, seq11):
         # one more -1 chip than +1 chips, so the period mean is exactly -1/L
         w = chips_to_waveform(seq11, samples_per_chip=2)
@@ -69,7 +93,41 @@ class TestChipsToWaveform:
         assert np.mean(w.samples.imag) == 0.0
 
 
+class TestFraming:
+    @pytest.mark.parametrize("m", [2.5, 2.0, 0, -1])
+    def test_only_whole_samples_per_chip(self, m):
+        # at 2.5 samples per chip, 31 chips span 77.5 samples: no whole period
+        with pytest.raises(ConfigError, match="samples_per_chip"):
+            SampledWaveform(
+                np.ones(155), sample_rate=2.5e6, samples_per_chip=m, chips_per_period=31
+            )
+
+    def test_chip_rate_derives_from_the_framing(self, seq11):
+        w = chips_to_waveform(seq11, samples_per_chip=4)
+        assert w.chip_rate == w.sample_rate / 4
+        assert SampledWaveform(np.ones(4), sample_rate=1e6).chip_rate is None
+
+
 class TestPowerSpectrum:
+    def test_grid_derives_from_power_and_rate(self):
+        power = np.arange(1.0, 8.0)
+        ps = PowerSpectrum(power_linear=power, sample_rate=7e6)
+        assert np.array_equal(ps.freqs, np.fft.fftshift(np.fft.fftfreq(7, d=1 / 7e6)))
+        assert np.array_equal(ps.power_db, ratio_to_db(power / 7.0))
+        assert ps.resolution_bw == 1e6
+        assert ps.freqs is ps.freqs and ps.power_db is ps.power_db
+        for name in ("power_linear", "freqs", "power_db"):
+            assert not getattr(ps, name).flags.writeable
+            with pytest.raises(AttributeError):
+                setattr(ps, name, power)
+        with pytest.raises(AttributeError):
+            ps.resolution_bw = 2e6
+
+    @pytest.mark.parametrize("power", [np.ones((2, 2)), np.array([]), np.zeros(8)])
+    def test_refuses_power_without_a_peak(self, power):
+        with pytest.raises(ConfigError):
+            PowerSpectrum(power_linear=power, sample_rate=1e6)
+
     def test_energy_conserved(self, seq11):
         w = chips_to_waveform(seq11, samples_per_chip=2, periods=2)
         ps = power_spectrum(w)
