@@ -236,8 +236,18 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
             shifted_gains.append((shift, p.complex_gain))
     # power first: its whole-capture |x| temporary is freed before out exists
     if ch.snr_db is not None:
-        signal_power = w.power() * 10.0 ** (ch.strongest_gain_db / 10.0)
-        noise_var = signal_power * 10.0 ** (-ch.snr_db / 10.0)
+        power = w.power()
+        try:
+            signal_power = power * 10.0 ** (ch.strongest_gain_db / 10.0)
+            noise_var = signal_power * 10.0 ** (-ch.snr_db / 10.0)
+        except OverflowError:
+            noise_var = math.inf
+        if not math.isfinite(noise_var):
+            raise ConfigError(
+                f"channel noise variance is not a finite float: input power"
+                f" {power:g}, strongest path {ch.strongest_gain_db:g} dB,"
+                f" snr_db {ch.snr_db:g}"
+            )
         scale = math.sqrt(noise_var / 2.0)
 
     block = block_length()

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -51,18 +50,10 @@ def _emit_json(obj, out: str | None) -> None:
 
 
 def _resolve_threads(flag: int | None, configured: int | None) -> int:
-    """The --threads flag, else $SOUNDER_SIM_THREADS, else the config, else 1."""
-    threads = flag
-    env = os.environ.get("SOUNDER_SIM_THREADS")
-    if threads is None and env:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ConfigError(
-                f"SOUNDER_SIM_THREADS must be an integer, got {env!r}"
-            ) from None
+    """The --threads flag, else the config, else 1; recorded, never branched on."""
+    threads = configured if flag is None else flag
     if threads is None:
-        threads = 1 if configured is None else configured
+        threads = 1
     if threads < 1:
         raise ConfigError(f"thread count must be >= 1, got {threads}")
     return threads
@@ -156,9 +147,7 @@ def cmd_sound(args) -> int:
     received = apply_channel(tx, channel)
     del tx  # the correlator needs only the received copy
     trace = sliding_correlate(received, rx_cfg)
-    profile = extract_pdp(
-        trace, periods, bins_per_chip=effective.bins_per_chip, threads=threads
-    )
+    profile = extract_pdp(trace, periods, bins_per_chip=effective.bins_per_chip)
     paths = extract_paths(profile, floor_db=effective.floor_db)
     duration = time.perf_counter() - started
 
@@ -221,7 +210,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sound.add_argument(
         "--threads", type=int,
-        help="worker threads (default: $SOUNDER_SIM_THREADS, then config, then 1)",
+        help="thread count recorded in the manifest; no stage depends on it"
+        " (default: config, then 1)",
     )
     sound.set_defaults(func=cmd_sound)
 

@@ -252,16 +252,10 @@ class ChipSequence:
 
 def measure_period(config: PnConfig) -> int:
     """Orbit length of the seed state under the register update."""
-    advance = _register_update(config)
-    seed = config.seed_int()
-    state = seed
-    limit = config.length
-    for count in range(1, limit + 1):
-        state, _ = advance(state)
-        if state == seed:
-            return count
-    # Unreachable for an invertible update, which N-in-taps guarantees.
-    raise NotMaximal(limit + 1, limit)
+    try:
+        return len(generate_period(config))
+    except NotMaximal as err:
+        return err.period
 
 
 def generate_period(config: PnConfig, chip_rate: float = 1.0) -> ChipSequence:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +155,12 @@ class PdpTrace:
         freeze_arrays(self, np.float64, "i_out", "q_out", "sync")
         if not (self.i_out.shape == self.q_out.shape == self.sync.shape):
             raise ConfigError("i_out, q_out, sync must have equal length")
+        for name in ("i_out", "q_out", "sync"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(
+                    f"slow-time {name} holds a non-finite value; the received"
+                    " signal overflows or is not finite"
+                )
 
     def __len__(self) -> int:
         return int(self.sync.size)
@@ -386,7 +391,7 @@ def profile_bins(code_length: int, periods: int, bins_per_chip: int) -> int:
         raise ConfigError("bins_per_chip must be >= 1")
     n_bins = code_length * bins_per_chip
     # float64 per bin: each segment's power twice (list and stack), plus
-    # about eight working arrays
+    # about eight working arrays for the segment being folded
     refuse_beyond_memory(
         n_bins * 8 * (2 * periods + 8), f"profile of {n_bins:.4g} bins"
     )
@@ -397,7 +402,6 @@ def extract_pdp(
     trace: PdpTrace,
     periods_to_average: int = 4,
     bins_per_chip: int = 1,
-    threads: int = 1,
 ) -> PdpProfile:
     """Fold the slow-time trace into an absolute power-delay profile.
 
@@ -405,9 +409,8 @@ def extract_pdp(
     time maps to delay as tau = (t_slow - t_sync)/gamma, binned to
     bins_per_chip bins per chip. Within a segment, I and Q average coherently
     per bin (the channel is static over a segment) before the power I^2+Q^2
-    is formed; the per-segment powers then average into the profile. Segments
-    are processed independently (optionally across threads) and merged in
-    slow time order, so thread count cannot change the result.
+    is formed; the per-segment powers then average into the profile in slow
+    time order.
     """
     cfg = trace.config
     n_bins = profile_bins(cfg.pn.length, periods_to_average, bins_per_chip)
@@ -436,25 +439,24 @@ def extract_pdp(
     counts = np.bincount(bins, minlength=n_bins).astype(np.float64)
     filled = counts > 0
 
-    def segment_power(start: int) -> np.ndarray:
-        sum_i = np.bincount(
-            bins, weights=trace.i_out[start : start + seg_len], minlength=n_bins
-        )
-        sum_q = np.bincount(
-            bins, weights=trace.q_out[start : start + seg_len], minlength=n_bins
-        )
-        mean_i = np.divide(sum_i, counts, out=np.zeros(n_bins), where=filled)
-        mean_q = np.divide(sum_q, counts, out=np.zeros(n_bins), where=filled)
-        return mean_i**2 + mean_q**2
-
-    if threads > 1 and len(usable) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            seg_powers = list(pool.map(segment_power, usable))
-    else:
-        seg_powers = [segment_power(p) for p in usable]
-
-    linear = np.mean(np.stack(seg_powers), axis=0)
+    seg_powers = []
+    with np.errstate(over="ignore"):  # a power past float64 is refused below
+        for start in usable:
+            sum_i = np.bincount(
+                bins, weights=trace.i_out[start : start + seg_len], minlength=n_bins
+            )
+            sum_q = np.bincount(
+                bins, weights=trace.q_out[start : start + seg_len], minlength=n_bins
+            )
+            mean_i = np.divide(sum_i, counts, out=np.zeros(n_bins), where=filled)
+            mean_q = np.divide(sum_q, counts, out=np.zeros(n_bins), where=filled)
+            seg_powers.append(mean_i**2 + mean_q**2)
+        linear = np.mean(np.stack(seg_powers), axis=0)
     peak = float(linear.max())
+    if not math.isfinite(peak):
+        raise ConfigError(
+            "profile power overflows float64; the channel's path gains are too large"
+        )
     if peak <= 0:
         raise NoSyncPeak("profile is identically zero")
     return PdpProfile(

@@ -103,11 +103,11 @@ def desk_setup(sample_rate):
     return cfg, tx_baseband(cfg)
 
 
-def desk_profile(ch, sample_rate=4e6, bins_per_chip=1, threads=1):
+def desk_profile(ch, sample_rate=4e6, bins_per_chip=1):
     cfg, tx = desk_setup(sample_rate)
     rx_cfg = dataclasses.replace(cfg, mode=Mode.RX)
     trace = sliding_correlate(apply_channel(tx, ch), rx_cfg)
-    return trace, extract_pdp(trace, 4, bins_per_chip=bins_per_chip, threads=threads)
+    return trace, extract_pdp(trace, 4, bins_per_chip=bins_per_chip)
 
 
 def test_criterion_1_code_laws():
@@ -330,7 +330,7 @@ def test_criterion_7_time_scale_invariance():
 
 
 def test_criterion_8_determinism_and_throughput():
-    with criterion(8, "byte-identical reruns, thread invariance, throughput") as info:
+    with criterion(8, "byte-identical reruns and throughput") as info:
         cfg, tx = desk_setup(4e6)
         rx_cfg = dataclasses.replace(cfg, mode=Mode.RX)
         ch = ChannelModel(paths=(PathSpec(0.0), PathSpec(7e-6, -6.0, math.pi / 2)))
@@ -341,10 +341,10 @@ def test_criterion_8_determinism_and_throughput():
         for name in ("i_out", "q_out", "sync"):
             assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
 
-        one = extract_pdp(first, 4, threads=1)
-        four = extract_pdp(second, 4, threads=4)
-        assert one.power_linear.tobytes() == four.power_linear.tobytes()
-        assert one.power_db.tobytes() == four.power_db.tobytes()
+        one = extract_pdp(first, 4)
+        two = extract_pdp(second, 4)
+        assert one.power_linear.tobytes() == two.power_linear.tobytes()
+        assert one.power_db.tobytes() == two.power_db.tobytes()
 
         rates = []
         for _ in range(2):

@@ -290,6 +290,14 @@ class TestApplyChannel:
         other = ChannelModel(paths=(PathSpec(0.0),), snr_db=10.0, rng_seed=100)
         assert not np.array_equal(a.samples, apply_channel(pn_wave, other).samples)
 
+    @pytest.mark.parametrize(
+        "gain_db,snr_db", [(6000.0, 20.0), (0.0, -4000.0), (3000.0, -200.0)]
+    )
+    def test_noise_level_beyond_float64_refused(self, pn_wave, gain_db, snr_db):
+        ch = ChannelModel(paths=(PathSpec(0.0, gain_db=gain_db),), snr_db=snr_db)
+        with pytest.raises(ConfigError, match="channel noise"):
+            apply_channel(pn_wave, ch)
+
     def test_power_budget_single_path(self, pn_wave):
         ch = ChannelModel(paths=(PathSpec(0.0, gain_db=-7.0),))
         out = apply_channel(pn_wave, ch)

@@ -49,6 +49,21 @@ def desk_doc(**sounder_overrides):
     }
 
 
+# the README desk example: its config and channel files
+README_DESK = {
+    "schema_version": 1,
+    "pn": {"stages": 9, "taps": [9, 5]},
+    "sounder": {"alpha": "1 MHz", "beta": "995 kHz", "sample_rate": "4 MHz"},
+    "extraction": {"periods": 4, "floor_db": -12.0},
+}
+README_CHANNEL = {
+    "paths": [{"delay_ns": 0.0, "gain_db": 0.0},
+              {"delay_ns": 3000.0, "gain_db": -6.0}],
+    "snr_db": 30.0,
+    "seed": 7,
+}
+
+
 class TestParseRate:
     @pytest.mark.parametrize(
         "text,hz",
@@ -743,19 +758,16 @@ class TestSoundCommand:
             ("extraction", "periods", 2.7),
             ("channel", "seed", True),
             ("flag", "--threads", "-1"),
-            ("env", "SOUNDER_SIM_THREADS", "0"),
         ],
     )
     def test_bad_value_exits_2_with_one_error_line(
-        self, tmp_path, capsys, monkeypatch, section, key, value
+        self, tmp_path, capsys, section, key, value
     ):
         doc = desk_doc()
         doc["channel"] = channel_doc()
         argv = []
         if section == "flag":
             argv = [key, value]
-        elif section == "env":
-            monkeypatch.setenv(key, value)
         elif section == "path":
             doc["channel"]["paths"][1][key] = value
         elif section == "pn":
@@ -786,22 +798,64 @@ class TestSoundCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: config: channel.paths[1].gain_db:")
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SOUNDER_SIM_THREADS", "4")
-        cfg = write_json(tmp_path / "cfg.json", desk_doc())
-        outdir = tmp_path / "envrun"
-        assert main(["sound", "--config", cfg, "--out", str(outdir)]) == 0
-        manifest = json.loads((outdir / "manifest.json").read_text())
-        assert manifest["config"]["extraction"]["threads"] == 4
+    @pytest.mark.parametrize(
+        "paths,snr_db",
+        [
+            ([{"delay_ns": 0.0, "gain_db": 6000.0}], 20.0),
+            ([{"delay_ns": 0.0}], -4000.0),
+            ([{"delay_ns": 0.0, "gain_db": 6150.0},
+              {"delay_ns": 3000.0, "gain_db": 6150.0}], None),
+            ([{"delay_ns": 0.0, "gain_db": 3000.0},
+              {"delay_ns": 3000.0, "gain_db": 3000.0}], -200.0),
+        ],
+    )
+    def test_levels_beyond_float64_exit_2_writing_nothing(
+        self, tmp_path, capsys, paths, snr_db
+    ):
+        doc = {"schema_version": 1, "pn": {"stages": 5, "taps": [5, 3]},
+               "sounder": {"alpha": "1 MHz", "beta": "990 kHz",
+                           "sample_rate": "4 MHz"},
+               "extraction": {"periods": 2}}
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        channel = write_json(tmp_path / "channel.json",
+                             {"paths": paths, "snr_db": snr_db, "seed": 1})
+        outdir = tmp_path / "o"
+        code = main(["sound", "--config", cfg, "--channel", channel,
+                     "--out", str(outdir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not any(outdir.iterdir())
 
-    def test_threads_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SOUNDER_SIM_THREADS", "4")
-        cfg = write_json(tmp_path / "cfg.json", desk_doc())
+    def test_threads_flag_beats_config(self, tmp_path):
+        doc = desk_doc()
+        doc["extraction"]["threads"] = 4
+        cfg = write_json(tmp_path / "cfg.json", doc)
         outdir = tmp_path / "flagrun"
         assert main(["sound", "--config", cfg, "--threads", "2",
                      "--out", str(outdir)]) == 0
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["config"]["extraction"]["threads"] == 2
+
+    def test_thread_count_does_not_change_outputs(self, tmp_path, monkeypatch):
+        cfg = write_json(tmp_path / "desk.json", README_DESK)
+        channel = write_json(tmp_path / "channel.json", README_CHANNEL)
+        manifests = []
+        for threads in ("1", "4"):
+            # the same relative --out, so both manifests list the same outputs
+            (tmp_path / threads).mkdir()
+            monkeypatch.chdir(tmp_path / threads)
+            assert main(["sound", "--config", cfg, "--channel", channel,
+                         "--threads", threads, "--out", "run"]) == 0
+            manifest = json.loads(Path("run/manifest.json").read_text())
+            assert manifest["config"]["extraction"].pop("threads") == int(threads)
+            del manifest["duration_s"]
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
+        for name in ("trace.csv", "profile.csv", "paths.csv"):
+            assert ((tmp_path / "1" / "run" / name).read_bytes()
+                    == (tmp_path / "4" / "run" / name).read_bytes())
 
 
 def run_child(*args):
@@ -822,13 +876,7 @@ def test_module_entry_point():
 
 def test_cli_import_and_config_load_need_no_scipy(tmp_path):
     # scipy.signal costs over a second of start-up; only sounding uses it
-    readme_desk = {
-        "schema_version": 1,
-        "pn": {"stages": 9, "taps": [9, 5]},
-        "sounder": {"alpha": "1 MHz", "beta": "995 kHz", "sample_rate": "4 MHz"},
-        "extraction": {"periods": 4, "floor_db": -12.0},
-    }
-    cfg = write_json(tmp_path / "desk.json", readme_desk)
+    cfg = write_json(tmp_path / "desk.json", README_DESK)
     script = (
         "import sys, sounder_sim.cli\n"
         "sounder_sim.cli.load_config(sys.argv[1])\n"

@@ -613,12 +613,27 @@ class TestExtractPdp:
         spun = extract_pdp(sliding_correlate(rotated, rx_cfg), 4)
         assert np.allclose(spun.power_linear, base.power_linear, atol=1e-9)
 
-    def test_thread_count_does_not_change_results(self, desk):
-        trace, _ = run_channel(desk, ChannelModel(paths=(PathSpec(5e-6),)))
-        one = extract_pdp(trace, 4, threads=1)
-        four = extract_pdp(trace, 4, threads=4)
-        assert np.array_equal(one.power_linear, four.power_linear)
-        assert np.array_equal(one.power_db, four.power_db)
+    def test_non_finite_received_sample_refused(self, desk):
+        _, tx, rx_cfg = desk
+        samples = tx.samples.copy()
+        samples[1000] = np.nan
+        broken = dataclasses.replace(tx, samples=samples)
+        with pytest.raises(ConfigError, match="non-finite"):
+            sliding_correlate(broken, rx_cfg)
+
+    @pytest.mark.parametrize("field", ["i_out", "q_out", "sync"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_trace_refuses_non_finite_values(self, field, value):
+        rows = {name: np.zeros(8) for name in ("i_out", "q_out", "sync")}
+        rows[field][3] = value
+        with pytest.raises(ConfigError, match=field):
+            PdpTrace(**rows, config=desk_config(mode=Mode.RX))
+
+    def test_profile_power_beyond_float64_refused(self, desk):
+        trace, _ = run_channel(desk, identity_channel())
+        loud = dataclasses.replace(trace, i_out=trace.i_out * 1e160)
+        with pytest.raises(ConfigError, match="overflows"):
+            extract_pdp(loud, 4)
 
     def test_insufficient_periods_rejected(self, desk):
         trace, _ = run_channel(desk, identity_channel())
