@@ -1,10 +1,16 @@
 """Static multipath channel: a tapped delay line plus optional AWGN.
 
 Each path is a delayed copy of the input scaled by a complex gain, and the
-copies superpose. Delays are quantized to the nearest sample; test fixtures
-keep them on the sample grid so quantization never moves a path by more
-than half a sample. Noise is complex circular Gaussian with variance set
-by snr_db relative to the strongest path's received power.
+copies superpose. A path holds the channel document's own numbers (delay in
+ns, gain in dB, phase in degrees), so a channel written with to_json_dict
+reads back with every complex gain bit for bit. Delays are quantized to the
+nearest sample; test fixtures keep them on the sample grid so quantization
+never moves a path by more than half a sample. Noise is complex circular
+Gaussian with variance set by snr_db relative to the strongest path's
+received power (noise_std). apply_channel adds it per sample; `sounder-sim
+sound` leaves it out here and draws it in the correlator, per decimation
+window (see sliding_correlate), with the same distribution but a different
+realisation for one seed.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -92,24 +98,34 @@ def read_section(section, table: dict, where: str, defaults) -> dict:
 _MAX_GAIN_DB = 20.0 * sys.float_info.max_10_exp  # 10 ** (dB / 20) stays finite
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PathSpec:
-    """One propagation path: delay in seconds, gain in dB, phase in radians."""
+    """One propagation path: delay in ns, gain in dB, phase in degrees."""
 
-    delay: float
+    delay_ns: float
     gain_db: float = 0.0
-    phase: float = 0.0
+    phase_deg: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.delay) and self.delay >= 0):
-            raise ConfigError(f"path delay must be finite and >= 0, got {self.delay}")
+        if not (math.isfinite(self.delay_ns) and self.delay_ns >= 0):
+            raise ConfigError(f"path delay must be finite and >= 0, got {self.delay_ns} ns")
         if not -math.inf < self.gain_db <= _MAX_GAIN_DB:  # also refuses nan
             raise ConfigError(
                 f"path gain must be finite and <= {_MAX_GAIN_DB:g} dB,"
                 f" got {self.gain_db}"
             )
-        if not math.isfinite(self.phase):
-            raise ConfigError(f"path phase must be finite, got {self.phase}")
+        if not math.isfinite(self.phase_deg):
+            raise ConfigError(f"path phase must be finite, got {self.phase_deg}")
+
+    @property
+    def delay(self) -> float:
+        """Delay in seconds."""
+        return self.delay_ns * 1e-9
+
+    @property
+    def phase(self) -> float:
+        """Phase in radians."""
+        return math.radians(self.phase_deg)
 
     @property
     def complex_gain(self) -> complex:
@@ -129,8 +145,7 @@ def _paths(entries) -> tuple[PathSpec, ...]:
         f = read_section(entry, _PATH, where, {"gain_db": 0.0, "phase_deg": 0.0})
         if f["delay_ns"] is None:
             raise ConfigError(f'{where} needs a "delay_ns"')
-        paths.append(PathSpec(delay=f["delay_ns"] * 1e-9, gain_db=f["gain_db"],
-                              phase=math.radians(f["phase_deg"])))
+        paths.append(PathSpec(**f))
     return tuple(paths)
 
 
@@ -142,9 +157,9 @@ class ChannelModel:
     """A set of paths plus an optional noise level (None = noiseless).
 
     Construction normalizes the path list: sorted by delay, and paths with
-    exactly equal delays are merged by adding their complex gains. A merged
-    gain of exactly zero drops the path; a channel whose paths all cancel is
-    rejected.
+    exactly equal delays are merged by adding their complex gains; a lone
+    path is kept as given. A merged gain of exactly zero drops the path; a
+    channel whose paths all cancel is rejected.
     """
 
     paths: tuple[PathSpec, ...]
@@ -160,20 +175,25 @@ class ChannelModel:
         if self.rng_seed < 0:
             raise ConfigError(f"noise seed must be >= 0, got {self.rng_seed}")
 
-        merged: dict[float, complex] = {}
-        scales: dict[float, float] = {}
-        for p in sorted(paths, key=lambda p: p.delay):
-            merged[p.delay] = merged.get(p.delay, 0j) + p.complex_gain
-            scales[p.delay] = scales.get(p.delay, 0.0) + abs(p.complex_gain)
+        groups: dict[float, list[PathSpec]] = {}
+        for p in sorted(paths, key=lambda p: p.delay_ns):
+            groups.setdefault(p.delay_ns, []).append(p)
         kept = []
-        for delay, gain in merged.items():
-            if abs(gain) <= 1e-12 * scales[delay]:
+        for delay_ns, group in groups.items():
+            gain = sum((p.complex_gain for p in group), 0j)
+            if abs(gain) <= 1e-12 * sum(abs(p.complex_gain) for p in group):
+                continue
+            if len(group) == 1:
+                # re-deriving gain_db and phase_deg from the gain would move
+                # its last bit, so a rebuilt channel (replace, or a JSON round
+                # trip) would not keep its gains
+                kept.append(group[0])
                 continue
             kept.append(
                 PathSpec(
-                    delay=delay,
+                    delay_ns=delay_ns,
                     gain_db=20.0 * math.log10(abs(gain)),
-                    phase=cmath.phase(gain),
+                    phase_deg=math.degrees(cmath.phase(gain)),
                 )
             )
         if not kept:
@@ -184,16 +204,31 @@ class ChannelModel:
     def strongest_gain_db(self) -> float:
         return max(p.gain_db for p in self.paths)
 
+    def noise_std(self, input_power: float) -> float | None:
+        """Standard deviation of each noise component (real or imaginary).
+
+        input_power is the mean power of the signal entering the channel;
+        None for a noiseless channel. A variance float64 cannot hold is a
+        ConfigError.
+        """
+        if self.snr_db is None:
+            return None
+        try:
+            signal_power = input_power * 10.0 ** (self.strongest_gain_db / 10.0)
+            noise_var = signal_power * 10.0 ** (-self.snr_db / 10.0)
+        except OverflowError:
+            noise_var = math.inf
+        if not math.isfinite(noise_var):
+            raise ConfigError(
+                f"channel noise variance is not a finite float: input power"
+                f" {input_power:g}, strongest path {self.strongest_gain_db:g} dB,"
+                f" snr_db {self.snr_db:g}"
+            )
+        return math.sqrt(noise_var / 2.0)
+
     def to_json_dict(self) -> dict:
         return {
-            "paths": [
-                {
-                    "delay_ns": p.delay * 1e9,
-                    "gain_db": p.gain_db,
-                    "phase_deg": math.degrees(p.phase),
-                }
-                for p in self.paths
-            ],
+            "paths": [asdict(p) for p in self.paths],
             "snr_db": self.snr_db,
             "seed": self.rng_seed,
         }
@@ -211,7 +246,7 @@ class ChannelModel:
 
 
 def identity_channel() -> ChannelModel:
-    return ChannelModel(paths=(PathSpec(delay=0.0),))
+    return ChannelModel(paths=(PathSpec(delay_ns=0.0),))
 
 
 def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
@@ -235,20 +270,7 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
         if shift < n:
             shifted_gains.append((shift, p.complex_gain))
     # power first: its whole-capture |x| temporary is freed before out exists
-    if ch.snr_db is not None:
-        power = w.power()
-        try:
-            signal_power = power * 10.0 ** (ch.strongest_gain_db / 10.0)
-            noise_var = signal_power * 10.0 ** (-ch.snr_db / 10.0)
-        except OverflowError:
-            noise_var = math.inf
-        if not math.isfinite(noise_var):
-            raise ConfigError(
-                f"channel noise variance is not a finite float: input power"
-                f" {power:g}, strongest path {ch.strongest_gain_db:g} dB,"
-                f" snr_db {ch.snr_db:g}"
-            )
-        scale = math.sqrt(noise_var / 2.0)
+    scale = ch.noise_std(w.power()) if ch.snr_db is not None else None
 
     block = block_length()
     out = np.zeros(n, dtype=np.complex128)
@@ -264,7 +286,7 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
                 np.multiply(gain, w.samples[lo - shift : stop - shift], out=copy)
                 out[lo:stop] += copy
 
-    if ch.snr_db is not None:
+    if scale is not None:
         rng = np.random.default_rng(ch.rng_seed)
         draw = np.empty(min(block, n))
         for part in (out.real, out.imag):

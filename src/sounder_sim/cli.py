@@ -142,11 +142,14 @@ def cmd_sound(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     profile_bins(spec.pn.length, periods, effective.bins_per_chip)
     rx_cfg = effective.sounder_config(Mode.RX)
+    # tx_baseband emits ±1 samples, so its power is exactly 1
+    noise_std = channel.noise_std(1.0)
     started = time.perf_counter()
     tx = tx_baseband(effective.sounder_config(Mode.TX))
-    received = apply_channel(tx, channel)
+    # the correlator draws the noise per decimation window (sliding_correlate)
+    received = apply_channel(tx, dataclasses.replace(channel, snr_db=None))
     del tx  # the correlator needs only the received copy
-    trace = sliding_correlate(received, rx_cfg)
+    trace = sliding_correlate(received, rx_cfg, noise_std, channel.rng_seed)
     profile = extract_pdp(trace, periods, bins_per_chip=effective.bins_per_chip)
     paths = extract_paths(profile, floor_db=effective.floor_db)
     duration = time.perf_counter() - started

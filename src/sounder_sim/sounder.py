@@ -233,6 +233,21 @@ def _window_weights(omega: float, dec: int):
     return weights, carry, math.exp(-omega * dec)
 
 
+def _window_noise_factor(weights: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor L of W Wᵀ, W the rows [A, B] of _window_weights.
+
+    White noise of unit variance gives each window's two sums covariance
+    W Wᵀ, so L times two independent standard normals has their law. At
+    decimation 1 the rows are equal and W Wᵀ is singular; the second pivot
+    is clamped at 0.
+    """
+    cov = np.einsum("ik,jk->ij", weights, weights)
+    first = math.sqrt(cov[0, 0])
+    below = cov[1, 0] / first
+    return np.array([[first, 0.0],
+                     [below, math.sqrt(max(cov[1, 1] - below * below, 0.0))]])
+
+
 def _capture_samples(cfg: SounderConfig) -> int:
     """Samples in cfg.capture, refused before allocation if they cannot fit."""
     samples = cfg.capture * cfg.sample_rate
@@ -264,7 +279,12 @@ def tx_baseband(cfg: SounderConfig) -> SampledWaveform:
     )
 
 
-def sliding_correlate(received: SampledWaveform, cfg: SounderConfig) -> PdpTrace:
+def sliding_correlate(
+    received: SampledWaveform,
+    cfg: SounderConfig,
+    noise_std: float | None = None,
+    noise_seed: int = 0,
+) -> PdpTrace:
     """Stream the received samples through the sliding correlator.
 
     Per sample n at t = n/fs: mix Re/Im of the input and the clean local TX
@@ -283,6 +303,15 @@ def sliding_correlate(received: SampledWaveform, cfg: SounderConfig) -> PdpTrace
     order whatever else the block holds; a BLAS product may change its
     summation with the number of rows and so with the block size. Blocks
     are cut at window boundaries, so block size cannot change results.
+
+    A noise_std adds complex white Gaussian noise to the input, noise_std
+    per component, at the window rate: mixing with a ±1 code, the filter
+    and the dump are linear, so each window's A- and B-sums of the noise on
+    one arm are jointly Gaussian with covariance noise_std² W Wᵀ
+    (_window_noise_factor), independent across windows and arms. After the
+    block loop one default_rng(noise_seed) call draws 2 normals per window
+    per arm, in window order, so block size cannot change them. The sync
+    row, the local TX code times the RX code, carries no noise.
     """
     if cfg.mode is not Mode.RX:
         raise ConfigError("sliding_correlate needs a config with mode=RX")
@@ -327,6 +356,11 @@ def sliding_correlate(received: SampledWaveform, cfg: SounderConfig) -> PdpTrace
         sums[:, :, first : first + count // dec] = np.einsum(
             "wk,jk->jw", rows.reshape(-1, dec), weights
         ).reshape(2, 3, -1)
+    if noise_std is not None:
+        normals = np.random.default_rng(noise_seed).standard_normal((2, 2, windows))
+        factor = noise_std * _window_noise_factor(weights)
+        sums[0, :2] += factor[0, 0] * normals[0]
+        sums[1, :2] += factor[1, 0] * normals[0] + factor[1, 1] * normals[1]
     means, ends = sums
     # filter output at the end of each window: s[w] = P*s[w-1] + ends[w]
     states = lfilter([1.0], [1.0, -pole_d], ends, axis=-1)

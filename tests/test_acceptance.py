@@ -211,7 +211,7 @@ def test_criterion_4_absolute_delay():
         chip = 1e-6
         measured = []
         for tau_chips in (0, 3, 50):
-            ch = ChannelModel(paths=(PathSpec(tau_chips * chip),))
+            ch = ChannelModel(paths=(PathSpec(delay_ns=tau_chips * 1000.0),))
             _, prof = desk_profile(ch)
             delay = prof.peak_delay()
             assert abs(delay - tau_chips * chip) <= DELAY_TOL_CHIPS * chip
@@ -225,8 +225,8 @@ def test_criterion_5_delay_resolution():
         for separation_chips in (1.0, 0.4):
             ch = ChannelModel(
                 paths=(
-                    PathSpec(0.0),
-                    PathSpec(separation_chips * 1e-6, 0.0, math.pi / 2),
+                    PathSpec(delay_ns=0.0),
+                    PathSpec(delay_ns=separation_chips * 1000.0, phase_deg=90.0),
                 )
             )
             _, prof = desk_profile(ch, sample_rate=10e6, bins_per_chip=4)
@@ -252,7 +252,8 @@ def test_criterion_5_delay_resolution_at_paper_rates():
         found = {}
         for separation_ns in (1.0, 0.4):
             ch = ChannelModel(
-                paths=(PathSpec(0.0), PathSpec(separation_ns * 1e-9, 0.0, math.pi / 2))
+                paths=(PathSpec(delay_ns=0.0),
+                       PathSpec(delay_ns=separation_ns, phase_deg=90.0))
             )
             trace = sliding_correlate(apply_channel(tx, ch), rx_cfg)
             prof = extract_pdp(trace, 4, bins_per_chip=4)
@@ -269,10 +270,12 @@ def test_criterion_6_oracle_equivalence():
         pedestal = -20.0 * math.log10(511)
         fixtures = [
             identity_channel(),
-            ChannelModel(paths=(PathSpec(3e-6),)),
-            ChannelModel(paths=(PathSpec(50e-6),)),
-            ChannelModel(paths=(PathSpec(0.0), PathSpec(7e-6, -6.0, math.pi / 2))),
-            ChannelModel(paths=(PathSpec(0.0), PathSpec(10e-6, -3.0, math.pi / 2))),
+            ChannelModel(paths=(PathSpec(delay_ns=3000.0),)),
+            ChannelModel(paths=(PathSpec(delay_ns=50000.0),)),
+            ChannelModel(paths=(PathSpec(delay_ns=0.0),
+                                PathSpec(delay_ns=7000.0, gain_db=-6.0, phase_deg=90.0))),
+            ChannelModel(paths=(PathSpec(delay_ns=0.0),
+                                PathSpec(delay_ns=10000.0, gain_db=-3.0, phase_deg=90.0))),
         ]
         worst_rms = 0.0
         for ch in fixtures:
@@ -311,7 +314,8 @@ def test_criterion_7_time_scale_invariance():
             )
             tx = tx_baseband(cfg)
             ch = ChannelModel(
-                paths=(PathSpec(0.0), PathSpec(7e-6 / scale, -6.0, 0.7))
+                paths=(PathSpec(delay_ns=0.0),
+                       PathSpec(delay_ns=7000.0 / scale, gain_db=-6.0, phase_deg=40.0))
             )
             trace = sliding_correlate(
                 apply_channel(tx, ch), dataclasses.replace(cfg, mode=Mode.RX)
@@ -333,7 +337,8 @@ def test_criterion_8_determinism_and_throughput():
     with criterion(8, "byte-identical reruns and throughput") as info:
         cfg, tx = desk_setup(4e6)
         rx_cfg = dataclasses.replace(cfg, mode=Mode.RX)
-        ch = ChannelModel(paths=(PathSpec(0.0), PathSpec(7e-6, -6.0, math.pi / 2)))
+        ch = ChannelModel(paths=(PathSpec(delay_ns=0.0),
+                                 PathSpec(delay_ns=7000.0, gain_db=-6.0, phase_deg=90.0)))
         received = apply_channel(tx, ch)
 
         first = sliding_correlate(received, rx_cfg)

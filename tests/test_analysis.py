@@ -80,7 +80,8 @@ class TestExtractPaths:
 
     def test_two_paths_well_separated(self):
         seq = generate_period(default_config(9), chip_rate=1e6)
-        ch = ChannelModel(paths=(PathSpec(0.0), PathSpec(7e-6, -6.0, math.pi / 2)))
+        ch = ChannelModel(paths=(PathSpec(delay_ns=0.0),
+                                 PathSpec(delay_ns=7000.0, gain_db=-6.0, phase_deg=90.0)))
         paths = extract_paths(fast_pdp_oracle(seq, ch), floor_db=-20.0)
         assert [round(p.delay * 1e6) for p in paths] == [0, 7]
         assert paths[1].power_db == pytest.approx(-6.0, abs=0.1)
@@ -189,14 +190,15 @@ class TestExtractPaths:
         )
         phases = data.draw(
             st.lists(
-                st.floats(0.0, 2.0 * math.pi),
+                st.floats(0.0, 360.0),
                 min_size=len(chips),
                 max_size=len(chips),
             )
         )
         ch = ChannelModel(
             paths=tuple(
-                PathSpec(c * 1e-6, g, ph) for c, g, ph in zip(chips, gains, phases)
+                PathSpec(delay_ns=c * 1000.0, gain_db=g, phase_deg=ph)
+                for c, g, ph in zip(chips, gains, phases)
             )
         )
         seq = generate_period(default_config(9), chip_rate=1e6)

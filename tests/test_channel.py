@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sounder_sim.waveform as waveform_mod
 from sounder_sim.channel import (
@@ -58,20 +60,21 @@ def reference_apply_channel(w, ch):
 
 class TestModel:
     def test_paths_sorted_on_construction(self):
-        ch = ChannelModel(paths=(PathSpec(5e-9), PathSpec(1e-9), PathSpec(3e-9)))
-        assert [p.delay for p in ch.paths] == [1e-9, 3e-9, 5e-9]
+        ch = ChannelModel(paths=(PathSpec(delay_ns=5.0), PathSpec(delay_ns=1.0),
+                                 PathSpec(delay_ns=3.0)))
+        assert [p.delay_ns for p in ch.paths] == [1.0, 3.0, 5.0]
 
     def test_equal_delays_merge_by_complex_sum(self):
         ch = ChannelModel(
-            paths=(PathSpec(2e-9, gain_db=0.0, phase=0.0),
-                   PathSpec(2e-9, gain_db=0.0, phase=0.0))
+            paths=(PathSpec(delay_ns=2.0, gain_db=0.0, phase_deg=0.0),
+                   PathSpec(delay_ns=2.0, gain_db=0.0, phase_deg=0.0))
         )
         assert len(ch.paths) == 1
         assert ch.paths[0].gain_db == pytest.approx(20 * math.log10(2))
 
     def test_quadrature_merge(self):
         ch = ChannelModel(
-            paths=(PathSpec(0.0, 0.0, 0.0), PathSpec(0.0, 0.0, math.pi / 2))
+            paths=(PathSpec(delay_ns=0.0), PathSpec(delay_ns=0.0, phase_deg=90.0))
         )
         assert len(ch.paths) == 1
         assert ch.paths[0].gain_db == pytest.approx(10 * math.log10(2))
@@ -80,22 +83,22 @@ class TestModel:
     def test_cancelling_paths_rejected(self):
         with pytest.raises(ConfigError):
             ChannelModel(
-                paths=(PathSpec(0.0, 0.0, 0.0), PathSpec(0.0, 0.0, math.pi))
+                paths=(PathSpec(delay_ns=0.0), PathSpec(delay_ns=0.0, phase_deg=180.0))
             )
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ConfigError):
-            PathSpec(delay=-1e-9)
+            PathSpec(delay_ns=-1.0)
 
     @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
     def test_non_finite_delay_rejected(self, delay):
         with pytest.raises(ConfigError):
-            PathSpec(delay=delay)
+            PathSpec(delay_ns=delay)
 
     def test_linear_gain_overflow_rejected(self):
-        assert math.isfinite(abs(PathSpec(0.0, gain_db=6160.0).complex_gain))
+        assert math.isfinite(abs(PathSpec(delay_ns=0.0, gain_db=6160.0).complex_gain))
         with pytest.raises(ConfigError, match="path gain"):
-            PathSpec(0.0, gain_db=6200.0)
+            PathSpec(delay_ns=0.0, gain_db=6200.0)
 
     def test_negative_seed_rejected(self):
         ch = identity_channel()
@@ -106,7 +109,7 @@ class TestModel:
 
     def test_non_finite_snr_rejected(self):
         with pytest.raises(InvalidSnr):
-            ChannelModel(paths=(PathSpec(0.0),), snr_db=float("inf"))
+            ChannelModel(paths=(PathSpec(delay_ns=0.0),), snr_db=float("inf"))
 
     def test_empty_paths_rejected(self):
         with pytest.raises(ConfigError):
@@ -126,11 +129,60 @@ class TestModel:
         assert ch.paths[1].delay == pytest.approx(50e-9)
         assert ch.paths[1].phase == pytest.approx(math.pi / 2)
         again = ChannelModel.from_json_dict(json.loads(json.dumps(ch.to_json_dict())))
-        assert again.snr_db == ch.snr_db and again.rng_seed == ch.rng_seed
-        for p, q in zip(again.paths, ch.paths):
-            assert p.delay == pytest.approx(q.delay, rel=1e-12)
-            assert p.gain_db == pytest.approx(q.gain_db, rel=1e-12)
-            assert p.phase == pytest.approx(q.phase, rel=1e-12)
+        assert again == ch
+        assert again.to_json_dict() == blob | {"paths": [
+            {"delay_ns": 0.0, "gain_db": 0.0, "phase_deg": 0.0},
+            {"delay_ns": 50.0, "gain_db": -3.5, "phase_deg": 90.0},
+        ]}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.fixed_dictionaries({
+                # few delays, so that equal ones merge
+                "delay_ns": st.sampled_from([0.0, 0.5, 3.0, 1e3 / 3, 7000.0]),
+                "gain_db": st.floats(-80.0, 40.0),
+                "phase_deg": st.floats(-720.0, 720.0),
+            }),
+            min_size=1, max_size=6,
+        ),
+        st.one_of(st.none(), st.floats(-30.0, 60.0)),
+    )
+    def test_round_trips_keep_every_complex_gain_bitwise(self, entries, snr_db):
+        try:
+            ch = ChannelModel.from_json_dict({"paths": entries, "snr_db": snr_db})
+        except ConfigError:  # merged paths that cancel
+            return
+
+        def gains(model):
+            return np.array([p.complex_gain for p in model.paths]).tobytes()
+
+        via_json = ChannelModel.from_json_dict(json.loads(json.dumps(ch.to_json_dict())))
+        assert gains(via_json) == gains(ch)
+        assert via_json.paths == ch.paths
+        noiseless = dataclasses.replace(ch, snr_db=None)
+        assert gains(noiseless) == gains(ch)
+        assert noiseless.paths == ch.paths
+
+    def test_lone_path_keeps_its_numbers(self):
+        # a merge re-derives gain and phase; a lone path is left as written
+        path = PathSpec(delay_ns=3.0, gain_db=-7.3, phase_deg=123.457)
+        ch = ChannelModel(paths=(PathSpec(delay_ns=9.0), path))
+        assert ch.paths[0] is path
+
+    def test_noise_std(self):
+        ch = ChannelModel(paths=(PathSpec(delay_ns=0.0, gain_db=-3.0),), snr_db=12.0)
+        var = 2.0 * 10.0 ** (-3.0 / 10.0) * 10.0 ** (-12.0 / 10.0)
+        assert ch.noise_std(2.0) == math.sqrt(var / 2.0)
+        assert identity_channel().noise_std(1.0) is None
+
+    @pytest.mark.parametrize(
+        "gain_db,snr_db", [(6000.0, 20.0), (0.0, -4000.0), (3000.0, -200.0)]
+    )
+    def test_noise_std_beyond_float64_refused(self, gain_db, snr_db):
+        ch = ChannelModel(paths=(PathSpec(delay_ns=0.0, gain_db=gain_db),), snr_db=snr_db)
+        with pytest.raises(ConfigError, match="channel noise variance"):
+            ch.noise_std(1.0)
 
     @pytest.mark.parametrize(
         "blob",
@@ -203,29 +255,29 @@ class TestApplyChannel:
         assert out.chip_rate == pn_wave.chip_rate
 
     def test_hundred_ns_is_hundred_samples(self, pn_wave):
-        ch = ChannelModel(paths=(PathSpec(delay=100e-9),))
+        ch = ChannelModel(paths=(PathSpec(delay_ns=100.0),))
         out = apply_channel(pn_wave, ch)
         assert np.array_equal(out.samples, shifted(pn_wave.samples, 100))
 
     def test_two_path_superposition_oracle(self, pn_wave):
-        ch = ChannelModel(paths=(PathSpec(0.0), PathSpec(5e-9)))
+        ch = ChannelModel(paths=(PathSpec(delay_ns=0.0), PathSpec(delay_ns=5.0)))
         out = apply_channel(pn_wave, ch)
         expect = pn_wave.samples + shifted(pn_wave.samples, 5)
         assert np.array_equal(out.samples, expect)
 
     def test_complex_gain_applied(self, pn_wave):
-        ch = ChannelModel(paths=(PathSpec(3e-9, gain_db=-6.0, phase=math.pi / 3),))
+        ch = ChannelModel(paths=(PathSpec(delay_ns=3.0, gain_db=-6.0, phase_deg=60.0),))
         out = apply_channel(pn_wave, ch)
         a = 10 ** (-6 / 20) * np.exp(1j * math.pi / 3)
         assert np.allclose(out.samples, a * shifted(pn_wave.samples, 3), rtol=1e-15)
 
     def test_nearest_sample_quantization(self, pn_wave):
         # 2.6 ns at 1 GS/s rounds to 3 samples
-        out = apply_channel(pn_wave, ChannelModel(paths=(PathSpec(2.6e-9),)))
+        out = apply_channel(pn_wave, ChannelModel(paths=(PathSpec(delay_ns=2.6),)))
         assert np.array_equal(out.samples, shifted(pn_wave.samples, 3))
 
     def test_delay_beyond_duration_rejected(self, pn_wave):
-        ch = ChannelModel(paths=(PathSpec(delay=pn_wave.duration),))
+        ch = ChannelModel(paths=(PathSpec(delay_ns=pn_wave.duration * 1e9),))
         with pytest.raises(DelayExceedsDuration):
             apply_channel(pn_wave, ch)
 
@@ -236,7 +288,8 @@ class TestApplyChannel:
             + 1j * rng.standard_normal(len(pn_wave)),
             sample_rate=pn_wave.sample_rate,
         )
-        ch = ChannelModel(paths=(PathSpec(0.0), PathSpec(7e-9, -2.0, 0.4)))
+        ch = ChannelModel(paths=(PathSpec(delay_ns=0.0),
+                                 PathSpec(delay_ns=7.0, gain_db=-2.0, phase_deg=23.0)))
         a, b = 0.7, -1.3 + 0.2j
         combo = SampledWaveform(
             samples=a * pn_wave.samples + b * other.samples,
@@ -249,7 +302,7 @@ class TestApplyChannel:
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_time_invariance(self, pn_wave):
-        ch = ChannelModel(paths=(PathSpec(4e-9, -1.0, 0.2),))
+        ch = ChannelModel(paths=(PathSpec(delay_ns=4.0, gain_db=-1.0, phase_deg=11.5),))
         k = 11
         moved = SampledWaveform(
             samples=shifted(pn_wave.samples, k), sample_rate=pn_wave.sample_rate
@@ -272,9 +325,10 @@ class TestApplyChannel:
         )
         ch = ChannelModel(
             paths=(
-                PathSpec(0.0, -1.0, 0.3),
-                PathSpec(17e-9, -4.0, 2.0),
-                PathSpec((block + 77) * 1e-9, -9.0, -1.1),  # beyond one block
+                PathSpec(delay_ns=0.0, gain_db=-1.0, phase_deg=17.0),
+                PathSpec(delay_ns=17.0, gain_db=-4.0, phase_deg=115.0),
+                # beyond one block
+                PathSpec(delay_ns=block + 77.0, gain_db=-9.0, phase_deg=-63.0),
             ),
             snr_db=snr_db,
             rng_seed=21,
@@ -283,23 +337,23 @@ class TestApplyChannel:
         assert apply_channel(w, ch).samples.tobytes() == expect.tobytes()
 
     def test_noise_seeded_reproducible(self, pn_wave):
-        ch = ChannelModel(paths=(PathSpec(0.0),), snr_db=10.0, rng_seed=99)
+        ch = ChannelModel(paths=(PathSpec(delay_ns=0.0),), snr_db=10.0, rng_seed=99)
         a = apply_channel(pn_wave, ch)
         b = apply_channel(pn_wave, ch)
         assert np.array_equal(a.samples, b.samples)
-        other = ChannelModel(paths=(PathSpec(0.0),), snr_db=10.0, rng_seed=100)
+        other = ChannelModel(paths=(PathSpec(delay_ns=0.0),), snr_db=10.0, rng_seed=100)
         assert not np.array_equal(a.samples, apply_channel(pn_wave, other).samples)
 
     @pytest.mark.parametrize(
         "gain_db,snr_db", [(6000.0, 20.0), (0.0, -4000.0), (3000.0, -200.0)]
     )
     def test_noise_level_beyond_float64_refused(self, pn_wave, gain_db, snr_db):
-        ch = ChannelModel(paths=(PathSpec(0.0, gain_db=gain_db),), snr_db=snr_db)
+        ch = ChannelModel(paths=(PathSpec(delay_ns=0.0, gain_db=gain_db),), snr_db=snr_db)
         with pytest.raises(ConfigError, match="channel noise"):
             apply_channel(pn_wave, ch)
 
     def test_power_budget_single_path(self, pn_wave):
-        ch = ChannelModel(paths=(PathSpec(0.0, gain_db=-7.0),))
+        ch = ChannelModel(paths=(PathSpec(delay_ns=0.0, gain_db=-7.0),))
         out = apply_channel(pn_wave, ch)
         assert out.power() == pytest.approx(
             pn_wave.power() * 10 ** (-0.7), rel=1e-9
@@ -310,7 +364,7 @@ class TestApplyChannel:
         seq = generate_period(default_config(9), chip_rate=1e9)
         w = chips_to_waveform(seq, samples_per_chip=1, periods=40)
         snr_db = 20.0
-        ch = ChannelModel(paths=(PathSpec(0.0),), snr_db=snr_db, rng_seed=5)
+        ch = ChannelModel(paths=(PathSpec(delay_ns=0.0),), snr_db=snr_db, rng_seed=5)
         out = apply_channel(w, ch)
         noise = out.samples - w.samples
         measured = float(np.mean(np.abs(noise) ** 2))

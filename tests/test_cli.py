@@ -5,6 +5,7 @@ without shelling out; one subprocess smoke test covers the module entry.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -20,12 +21,13 @@ from hypothesis import strategies as st
 
 import sounder_sim
 from sounder_sim import cli
-from sounder_sim.channel import ChannelModel
+from sounder_sim.channel import ChannelModel, apply_channel
 from sounder_sim.cli import _emit_json, main
 from sounder_sim.config import RunSpec, load_config, parse_rate
 from sounder_sim.errors import ConfigError, SounderSimError
+from sounder_sim.fileio import write_slow_capture_csv
 from sounder_sim.pn import default_config
-from sounder_sim.sounder import Mode
+from sounder_sim.sounder import Mode, sliding_correlate, tx_baseband
 
 
 def write_json(path, obj):
@@ -97,17 +99,7 @@ class TestRunSpec:
         }
         spec = RunSpec.from_json_dict(doc)
         back = RunSpec.from_json_dict(spec.to_json_dict())
-        # channel delays pass through the nanosecond JSON unit, so compare
-        # them with a tolerance and everything else exactly
-        import dataclasses
-
-        assert dataclasses.replace(back, channel=None) == dataclasses.replace(
-            spec, channel=None
-        )
-        assert back.channel.paths[0].delay == pytest.approx(
-            spec.channel.paths[0].delay, rel=1e-12
-        )
-        assert back.channel.rng_seed == spec.channel.rng_seed
+        assert back == spec  # a channel holds its document's units, so exactly
         assert spec.sounder.alpha == 1e6
         assert spec.sounder.beta == 995e3
         assert spec.channel.paths[0].delay == pytest.approx(7e-6)
@@ -624,6 +616,42 @@ class TestSoundCommand:
         assert main(["sound", "--config", str(manifest), "--out", str(replay)]) == 0
         for name in ("trace.csv", "profile.csv", "paths.csv"):
             assert (replay / name).read_bytes() == (first / name).read_bytes()
+
+    def test_manifest_replays_a_channel_with_phases(self, tmp_path):
+        # the manifest carries each path's numbers as read, so the replay
+        # builds the same complex gains, and a trace printed to 12 digits
+        # shows any last-bit change in them
+        doc = desk_doc()
+        doc["channel"] = {
+            "paths": [{"delay_ns": 0.0, "phase_deg": 17.3},
+                      {"delay_ns": 3000.0, "gain_db": -4.7, "phase_deg": 123.457},
+                      {"delay_ns": 11000.0, "gain_db": -2.2, "phase_deg": 271.3}],
+            "snr_db": None,
+        }
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        first, replay = tmp_path / "run1", tmp_path / "run2"
+        assert main(["sound", "--config", cfg, "--out", str(first)]) == 0
+        manifest = first / "manifest.json"
+        recorded = json.loads(manifest.read_text())["config"]["channel"]["paths"]
+        assert recorded[1] == doc["channel"]["paths"][1]
+        assert main(["sound", "--config", str(manifest), "--out", str(replay)]) == 0
+        for name in ("trace.csv", "profile.csv", "paths.csv"):
+            assert (replay / name).read_bytes() == (first / name).read_bytes()
+
+    def test_noise_is_drawn_per_window_in_the_correlator(self, tmp_path):
+        cfg = write_json(tmp_path / "desk.json", README_DESK)
+        channel_file = write_json(tmp_path / "channel.json", README_CHANNEL)
+        assert main(["sound", "--config", cfg, "--channel", channel_file,
+                     "--out", str(tmp_path / "run")]) == 0
+        spec = load_config(cfg)
+        channel = ChannelModel.from_json_file(channel_file)
+        received = apply_channel(tx_baseband(spec.sounder_config(Mode.TX)),
+                                 dataclasses.replace(channel, snr_db=None))
+        trace = sliding_correlate(received, spec.sounder_config(Mode.RX),
+                                  channel.noise_std(1.0), channel.rng_seed)
+        write_slow_capture_csv(str(tmp_path / "api.csv"), trace)
+        assert ((tmp_path / "api.csv").read_bytes()
+                == (tmp_path / "run" / "trace.csv").read_bytes())
 
     def test_channel_file_and_seed_override(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", desk_doc())

@@ -213,6 +213,11 @@ class TestTxBaseband:
         with pytest.raises(ConfigError, match="physical memory"):
             tx_baseband(desk_config(capture=capture))
 
+    @pytest.mark.parametrize("sample_rate", [4e6, 4.3e6])
+    def test_power_is_exactly_one(self, sample_rate):
+        # `sound` sets its noise level from this power without measuring it
+        assert tx_baseband(desk_config(sample_rate=sample_rate)).power() == 1.0
+
     def test_integer_oversampling_matches_repeat(self):
         cfg = desk_config(capture=511e-6)  # exactly one period
         tx = tx_baseband(cfg)
@@ -389,7 +394,9 @@ class TestSlidingCorrelate:
         cfg, _, rx_cfg = desk
         short = dataclasses.replace(cfg, capture=900000 / 4e6)
         noisy = ChannelModel(
-            paths=(PathSpec(0.0), PathSpec(7e-6, -6.0, 1.0)), snr_db=20.0, rng_seed=4
+            paths=(PathSpec(delay_ns=0.0),
+                   PathSpec(delay_ns=7000.0, gain_db=-6.0, phase_deg=57.0)),
+            snr_db=20.0, rng_seed=4
         )
 
         def chain():
@@ -418,7 +425,10 @@ class TestSlidingCorrelate:
         cfg = SounderConfig(pn=PN9, alpha=1e6, beta=0.9e6, sample_rate=64e6,
                             capture=1.05 * 511 * 10 / 1e6, mode=Mode.TX)
         rx_cfg = dataclasses.replace(cfg, mode=Mode.RX)
-        channel = ChannelModel(paths=(PathSpec(0.0), PathSpec(3e-6, -6.0, 1.0)))
+        channel = ChannelModel(paths=(
+            PathSpec(delay_ns=0.0),
+            PathSpec(delay_ns=3000.0, gain_db=-6.0, phase_deg=57.0),
+        ))
 
         def chain():
             sent = tx_baseband(cfg)
@@ -540,7 +550,7 @@ class TestSlidingCorrelate:
 
     def test_single_path_displaced_by_gamma_tau(self, desk):
         tau = 3e-6
-        trace, _ = run_channel(desk, ChannelModel(paths=(PathSpec(tau),)))
+        trace, _ = run_channel(desk, ChannelModel(paths=(PathSpec(delay_ns=3000.0),)))
         cfg = trace.config
         peak = find_sync_peaks(trace)[0]
         seg = int(cfg.dilated_period * cfg.slow_rate)
@@ -577,6 +587,94 @@ class TestSlidingCorrelate:
         assert occupied < cfg.alpha / 1000.0  # versus the chip-rate-wide input
 
 
+def lag_correlation(x, lag):
+    x = x - x.mean()
+    return float(np.dot(x[:-lag], x[lag:]) / np.dot(x, x))
+
+
+class TestWindowRateNoise:
+    """sliding_correlate's noise_std: receiver noise drawn per decimation window."""
+
+    @pytest.mark.parametrize(
+        "omega,dec",
+        [
+            (2 * math.pi * 1e6 / 4e6, 1),
+            (2 * math.pi * 200e3 / 4e6, 2),
+            (2 * math.pi * 10e3 / 4e6, 50),  # the README desk
+            (2 * math.pi * 100e3 / 2e9, 2500),  # the paper's gamma 20000
+        ],
+    )
+    def test_covariance_matches_long_double_sum(self, omega, dec):
+        weights, _, _ = sounder_mod._window_weights(omega, dec)
+        factor = sounder_mod._window_noise_factor(weights)
+        pole = np.exp(-np.longdouble(omega))
+        k = np.arange(dec).astype(np.longdouble)
+        exact = np.stack([(1 - pole ** (dec - k)) / dec,
+                          (1 - pole) * pole ** (dec - 1 - k)])
+        cov = exact @ exact.T
+        assert factor[0, 1] == 0.0 and np.isfinite(factor).all()
+        # float64 weights and a sum of dec products: a few dec*eps of the largest
+        bound = 4 * dec * np.finfo(np.float64).eps * float(np.abs(cov).max())
+        assert np.abs(factor @ factor.T - cov).max() <= bound
+
+    def test_matches_per_sample_noise_in_distribution(self, desk):
+        # the README desk at 10 dB SNR; the trace noise is the noisy trace
+        # less the clean one, the correlator being linear
+        _, tx, rx_cfg = desk
+        paths = (PathSpec(delay_ns=0.0), PathSpec(delay_ns=3000.0, gain_db=-6.0))
+        noisy = ChannelModel(paths=paths, snr_db=10.0, rng_seed=7)
+        received = apply_channel(tx, ChannelModel(paths=paths))
+        clean = trace_rows(sliding_correlate(received, rx_cfg))[:2]
+        per_sample = trace_rows(sliding_correlate(apply_channel(tx, noisy), rx_cfg))[:2]
+        per_window = trace_rows(
+            sliding_correlate(received, rx_cfg, noisy.noise_std(tx.power()), 7)
+        )[:2]
+        assert per_window.shape[1] > 40000
+        stats = []
+        for trace in (per_sample, per_window):
+            noise = trace - clean
+            stats.append([float(noise.std())]
+                         + [np.mean([lag_correlation(row, lag) for row in noise])
+                            for lag in (1, 3)])
+        (std_s, lag1_s, lag3_s), (std_w, lag1_w, lag3_w) = stats
+        assert std_w == pytest.approx(std_s, rel=0.03)
+        assert lag1_w == pytest.approx(lag1_s, abs=0.03)
+        assert lag3_w == pytest.approx(lag3_s, abs=0.03)
+        assert lag1_s > 0.5 and lag3_s > 0.05  # the low-pass colours the noise
+
+    def test_noise_leaves_the_sync_row_alone(self, desk):
+        _, tx, rx_cfg = desk
+        clean = sliding_correlate(tx, rx_cfg)
+        noisy = sliding_correlate(tx, rx_cfg, 0.3, 5)
+        assert noisy.sync.tobytes() == clean.sync.tobytes()
+        assert not np.array_equal(noisy.i_out, clean.i_out)
+        assert not np.array_equal(noisy.q_out, clean.q_out)
+
+    @pytest.mark.parametrize("dec", [1, 50])
+    def test_block_size_and_reruns_do_not_change_noise(self, dec, monkeypatch):
+        cfg = desk_config(mode=Mode.RX, lpf_cutoff=1e6 if dec == 1 else None)
+        assert cfg.decimation == dec
+        received = random_capture(cfg)
+        first = trace_rows(sliding_correlate(received, cfg, 0.7, 12)).tobytes()
+        assert trace_rows(sliding_correlate(received, cfg, 0.7, 12)).tobytes() == first
+        monkeypatch.setattr(waveform_mod, "BLOCK", 77777)
+        assert len(received) > 2 * waveform_mod.block_length(dec)  # several blocks
+        assert trace_rows(sliding_correlate(received, cfg, 0.7, 12)).tobytes() == first
+        other_seed = trace_rows(sliding_correlate(received, cfg, 0.7, 13)).tobytes()
+        assert other_seed != first
+
+    def test_decimation_one_stays_finite(self):
+        # both weight rows are equal, so W Wᵀ is singular; no NaN may appear
+        cfg = desk_config(mode=Mode.RX, lpf_cutoff=1e6)
+        assert cfg.decimation == 1
+        weights, _, _ = sounder_mod._window_weights(
+            2 * math.pi * cfg.lpf_cutoff / cfg.sample_rate, 1
+        )
+        assert sounder_mod._window_noise_factor(weights)[1, 1] == 0.0
+        trace = sliding_correlate(random_capture(cfg), cfg, 1.0, 3)
+        assert np.isfinite(trace_rows(trace)).all()
+
+
 class TestExtractPdp:
     def test_identity_single_path_at_zero(self, desk):
         _, prof = run_channel(desk, identity_channel())
@@ -587,14 +685,16 @@ class TestExtractPdp:
         assert prof.delays[-1] < 511 * CHIP
 
     def test_two_path_powers(self, desk):
-        ch = ChannelModel(paths=(PathSpec(0.0), PathSpec(7e-6, -6.0, np.pi / 2)))
+        ch = ChannelModel(paths=(PathSpec(delay_ns=0.0),
+                                 PathSpec(delay_ns=7000.0, gain_db=-6.0, phase_deg=90.0)))
         _, prof = run_channel(desk, ch)
         top_two = sorted(np.argsort(prof.power_db)[-2:])
         assert top_two == [0, 7]
         assert prof.power_db[7] == pytest.approx(-6.0, abs=1.0)
 
     def test_matches_oracle(self, desk):
-        ch = ChannelModel(paths=(PathSpec(0.0), PathSpec(7e-6, -6.0, np.pi / 2)))
+        ch = ChannelModel(paths=(PathSpec(delay_ns=0.0),
+                                 PathSpec(delay_ns=7000.0, gain_db=-6.0, phase_deg=90.0)))
         _, prof = run_channel(desk, ch)
         oracle = fast_pdp_oracle(generate_period(PN9, chip_rate=1e6), ch)
         assert np.argmax(prof.power_linear) == np.argmax(oracle.power_linear)
@@ -603,7 +703,7 @@ class TestExtractPdp:
 
     def test_phase_rotation_invariance(self, desk):
         _, tx, rx_cfg = desk
-        ch = ChannelModel(paths=(PathSpec(3e-6),))
+        ch = ChannelModel(paths=(PathSpec(delay_ns=3000.0),))
         received = apply_channel(tx, ch)
         rotated = SampledWaveform(
             samples=received.samples * np.exp(1j * 1.1),
@@ -657,7 +757,7 @@ class TestExtractPdp:
         clean = extract_pdp(
             sliding_correlate(apply_channel(tx, identity_channel()), rx_cfg), 8
         )
-        noisy_ch = ChannelModel(paths=(PathSpec(0.0),), snr_db=20.0, rng_seed=11)
+        noisy_ch = ChannelModel(paths=(PathSpec(delay_ns=0.0),), snr_db=20.0, rng_seed=11)
         trace = sliding_correlate(apply_channel(tx, noisy_ch), rx_cfg)
         deviations = []
         for periods in (1, 2, 4, 8):
@@ -675,7 +775,9 @@ class TestExtractPdp:
                 sample_rate=4e6 * scale, mode=Mode.TX,
             )
             tx = tx_baseband(cfg)
-            ch = ChannelModel(paths=(PathSpec(0.0), PathSpec(7e-6 / scale, -6.0, 0.7)))
+            ch = ChannelModel(paths=(PathSpec(delay_ns=0.0),
+                                     PathSpec(delay_ns=7000.0 / scale, gain_db=-6.0,
+                                              phase_deg=40.0)))
             trace = sliding_correlate(
                 apply_channel(tx, ch), dataclasses.replace(cfg, mode=Mode.RX)
             )
@@ -695,12 +797,13 @@ class TestOracle:
 
     def test_single_path_shift(self):
         seq = generate_period(PN9, chip_rate=1e6)
-        prof = fast_pdp_oracle(seq, ChannelModel(paths=(PathSpec(5e-6),)))
+        prof = fast_pdp_oracle(seq, ChannelModel(paths=(PathSpec(delay_ns=5000.0),)))
         assert int(np.argmax(prof.power_db)) == 5
 
     def test_two_equal_paths(self):
         seq = generate_period(PN9, chip_rate=1e6)
-        ch = ChannelModel(paths=(PathSpec(0.0), PathSpec(7e-6, 0.0, np.pi / 2)))
+        ch = ChannelModel(paths=(PathSpec(delay_ns=0.0),
+                                 PathSpec(delay_ns=7000.0, phase_deg=90.0)))
         prof = fast_pdp_oracle(seq, ch)
         assert prof.power_db[0] == pytest.approx(prof.power_db[7], abs=1e-9)
         assert max(prof.power_db[0], prof.power_db[7]) == 0.0
@@ -708,7 +811,7 @@ class TestOracle:
     def test_rejects_noisy_channel(self):
         seq = generate_period(PN9, chip_rate=1e6)
         with pytest.raises(ConfigError):
-            fast_pdp_oracle(seq, ChannelModel(paths=(PathSpec(0.0),), snr_db=20.0))
+            fast_pdp_oracle(seq, ChannelModel(paths=(PathSpec(delay_ns=0.0),), snr_db=20.0))
 
 
 class TestPdpProfile:
