@@ -329,6 +329,18 @@ class TestCodeSource:
             n = np.arange(start, start + count)
             assert block.tobytes() == table[n // m % 511].tobytes()
 
+    @pytest.mark.parametrize("m, size", [(2.0**1022, 1), (1 << 14, 511)])
+    def test_whole_framing_beyond_the_tile_limit_indexes_per_call(self, m, size):
+        # a tiled copy would be as long as this 2**40-sample capture
+        table = generate_period(PN9).bipolar()[:size]
+        total = 1 << 40
+        code = waveform_mod.code_source(table, 1.0, m, 4096, total)
+        for start in (0, (1 << 20) - 100, total - 4096):
+            block = code(start, 4096)
+            assert block.size == 4096
+            n = np.arange(start, start + 4096)
+            assert block.tobytes() == table[n // int(min(m, total)) % size].tobytes()
+
     @pytest.mark.parametrize("chips_per_sample", [0.995 / 4, 1e6 / 4.3e6])
     def test_other_ratios_use_the_formula(self, chips_per_sample):
         code = waveform_mod.code_source(
