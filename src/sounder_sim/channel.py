@@ -117,6 +117,15 @@ class PathSpec:
         if not math.isfinite(self.phase_deg):
             raise ConfigError(f"path phase must be finite, got {self.phase_deg}")
 
+    @classmethod
+    def from_seconds(cls, delay: float, gain_db: float = 0.0, phase: float = 0.0) -> "PathSpec":
+        """A path from a delay in seconds and a phase in radians.
+
+        Each converts once into the document's units, so the delay and phase
+        properties may read back an ulp away from the given values.
+        """
+        return cls(delay_ns=delay * 1e9, gain_db=gain_db, phase_deg=math.degrees(phase))
+
     @property
     def delay(self) -> float:
         """Delay in seconds."""

@@ -37,9 +37,6 @@ NULL_CLIP_DB = -120.0  # null depths are ranked on power clipped here
 # every block streamed from L3. Larger blocks cost memory too: a freed block
 # raises glibc's mmap threshold and peak RSS with it.
 BLOCK = 1 << 14
-# Longest tiled code copy in samples (32 MiB of float64): a whole framing
-# whose span + period - 1 exceeds it indexes the table per call instead.
-TILE_LIMIT = 1 << 22
 
 
 def block_length(multiple: int = 1) -> int:
@@ -52,32 +49,22 @@ def code_source(table: np.ndarray, rate: float, sample_rate: float, span: int, t
 
     Sample n carries chip floor(n * rate / sample_rate) mod L, for count <= span
     and start + count <= total. At a whole m = sample_rate / rate that is chip
-    (n // m) mod L, and code() slices one read-only tiled copy of the L * m
-    sample period, min(total, span + period - 1) long: at most 8 bytes per
-    capture sample and at most TILE_LIMIT samples. A longer copy gives way to
-    (n // m) mod L in int64 per call. Otherwise n * (rate / sample_rate) is
-    truncated in float64 (>= 0, so floor) to index a copy of the table
-    repeated to cover one call.
+    (n // m) mod L, and code() slices one read-only tiled copy of the code
+    with each chip run = min(m, span) samples long, min(total, span + L * run
+    - 1) in all: at most 8 bytes per capture sample. A call spans at most two
+    chips once m >= span, so a chip longer than run enters the copy run
+    samples before its end. Otherwise n * (rate / sample_rate) is truncated
+    in float64 (>= 0, so floor) to index a copy of the table repeated to
+    cover one call.
     """
     samples_per_chip = sample_rate / rate
     if samples_per_chip.is_integer():
-        # a framing of total samples or more holds chip 0 at every sample
-        m = int(min(samples_per_chip, total))
-        period = table.size * m
-        length = min(total, span + period - 1)
-        if length > TILE_LIMIT:
-
-            def code(start: int, count: int) -> np.ndarray:
-                n = np.arange(start, start + count, dtype=np.int64)
-                n //= m
-                n %= table.size
-                return table[n]
-
-            return code
-
-        tiled = np.empty(length)
+        m = int(samples_per_chip)
+        run = min(m, span)
+        period = table.size * run
+        tiled = np.empty(min(total, span + period - 1))
         head = min(period, tiled.size)
-        tiled[:head] = table[np.arange(head) // m]
+        tiled[:head] = table[np.arange(head) // run]
         filled = head  # a whole number of periods, so copies stay in phase
         while filled < tiled.size:
             copied = min(filled, tiled.size - filled)
@@ -86,7 +73,9 @@ def code_source(table: np.ndarray, rate: float, sample_rate: float, span: int, t
         tiled.setflags(write=False)
 
         def code(start: int, count: int) -> np.ndarray:
-            offset = start % period
+            chip, into = divmod(start, m)
+            # start % period when run == m; never past start, so within total
+            offset = chip % table.size * run + max(0, into - (m - run))
             return tiled[offset : offset + count]
 
         return code

@@ -170,6 +170,20 @@ class TestModel:
         ch = ChannelModel(paths=(PathSpec(delay_ns=9.0), path))
         assert ch.paths[0] is path
 
+    def test_path_from_seconds_and_radians(self):
+        path = PathSpec.from_seconds(3e-6, -6.0, 0.7)
+        assert path == PathSpec(delay_ns=3e-6 * 1e9, gain_db=-6.0,
+                                phase_deg=math.degrees(0.7))
+        assert path.delay == pytest.approx(3e-6, rel=1e-15)
+        assert path.phase == pytest.approx(0.7, rel=1e-15)
+        with pytest.raises(ConfigError, match="delay"):
+            PathSpec.from_seconds(-1e-9)
+
+    def test_positional_numbers_refused(self):
+        # keyword-only: a delay in seconds is never read as ns
+        with pytest.raises(TypeError):
+            PathSpec(3e-6)
+
     def test_noise_std(self):
         ch = ChannelModel(paths=(PathSpec(delay_ns=0.0, gain_db=-3.0),), snr_db=12.0)
         var = 2.0 * 10.0 ** (-3.0 / 10.0) * 10.0 ** (-12.0 / 10.0)

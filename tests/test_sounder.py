@@ -329,17 +329,21 @@ class TestCodeSource:
             n = np.arange(start, start + count)
             assert block.tobytes() == table[n // m % 511].tobytes()
 
-    @pytest.mark.parametrize("m, size", [(2.0**1022, 1), (1 << 14, 511)])
-    def test_whole_framing_beyond_the_tile_limit_indexes_per_call(self, m, size):
-        # a tiled copy would be as long as this 2**40-sample capture
+    @pytest.mark.parametrize("m, size", [(2.0**1022, 1), (1 << 14, 511), (5000, 7)])
+    def test_chips_longer_than_a_span_tile_span_samples_each(self, m, size):
+        # a 2**40-sample capture: a tiled copy with m samples per chip would
+        # be as long as the capture; runs of span samples keep it short
         table = generate_period(PN9).bipolar()[:size]
-        total = 1 << 40
-        code = waveform_mod.code_source(table, 1.0, m, 4096, total)
-        for start in (0, (1 << 20) - 100, total - 4096):
-            block = code(start, 4096)
-            assert block.size == 4096
-            n = np.arange(start, start + 4096)
-            assert block.tobytes() == table[n // int(min(m, total)) % size].tobytes()
+        span, total, whole = 4096, 1 << 40, int(m)
+        code = waveform_mod.code_source(table, 1.0, m, span, total)
+        edges = [whole * k for k in (1, 2, size, size + 1) if whole * k < total]
+        starts = [0, total - span] + [e - d for e in edges for d in (1, 100, span)]
+        for start in starts:
+            block = code(start, span)
+            assert not block.flags.writeable
+            assert block.base.size <= span + size * span - 1
+            n = np.arange(start, start + span, dtype=object)
+            assert block.tobytes() == table[(n // whole % size).astype(int)].tobytes()
 
     @pytest.mark.parametrize("chips_per_sample", [0.995 / 4, 1e6 / 4.3e6])
     def test_other_ratios_use_the_formula(self, chips_per_sample):
