@@ -5,11 +5,14 @@ copies superpose. A path holds the channel document's own numbers (delay in
 ns, gain in dB, phase in degrees), so a channel written with to_json_dict
 reads back with every complex gain bit for bit. Delays are quantized to the
 nearest sample; test fixtures keep them on the sample grid so quantization
-never moves a path by more than half a sample. Noise is complex circular
-Gaussian with variance set by snr_db relative to the strongest path's
-received power (noise_std). apply_channel adds it per sample; `sounder-sim
-sound` leaves it out here and draws it in the correlator, per decimation
-window (see sliding_correlate), with the same distribution but a different
+never moves a path by more than half a sample. An input that repeats every
+code period gives an output that repeats from the last path's arrival on,
+so apply_channel sums the paths only up to one period past it and tiles the
+rest (waveform.tile_forward). Noise is complex circular Gaussian with
+variance set by snr_db relative to the strongest path's received power
+(noise_std). apply_channel adds it per sample; `sounder-sim sound` leaves it
+out here and draws it in the correlator, per decimation window (see
+sliding_correlate), with the same distribution but a different
 realisation for one seed.
 """
 
@@ -24,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, DelayExceedsDuration, InvalidSnr
-from .waveform import SampledWaveform, block_length
+from .waveform import SampledWaveform, block_length, tile_forward
 
 
 def read_json_file(path, what: str):
@@ -258,6 +261,21 @@ def identity_channel() -> ChannelModel:
     return ChannelModel(paths=(PathSpec(delay_ns=0.0),))
 
 
+def _repeats(samples: np.ndarray, period: int, block: int) -> bool:
+    """Whether samples[k] holds the bits of samples[k - period] for every k >= period.
+
+    Bits, not values: equal bits through equal operations give equal bits,
+    which == cannot promise (0.0 == -0.0, and a NaN equals nothing).
+    """
+    bits = samples.view(np.dtype((np.uint64, 2)))
+    n = bits.shape[0]
+    for start in range(period, n, block):
+        stop = min(start + block, n)
+        if not np.array_equal(bits[start:stop], bits[start - period : stop - period]):
+            return False
+    return True
+
+
 def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
     """Superpose delayed, complex-scaled copies of the input, then add noise.
 
@@ -267,6 +285,15 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
     noise takes all real parts from the seeded stream, then all imaginary
     parts, which is the order of two whole-length standard_normal draws, so
     block size cannot change the output.
+
+    An input that repeats bit for bit every samples_per_period samples P,
+    as every chips_to_waveform output and every tx_baseband output at a
+    whole fs/alpha does, is summed path by path only up to last + P, where
+    last is the largest path shift. From last on, each output sample takes
+    the same operations on the same bits as the sample P before it, so the
+    rest is copies of out[last:last + P] (tile_forward), the same bytes at
+    one copy's cost whatever the path count. Any other input, a jittered
+    one among them, is summed path by path throughout.
     """
     n = len(w)
     shifted_gains = []
@@ -282,10 +309,15 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
     scale = ch.noise_std(w.power()) if ch.snr_db is not None else None
 
     block = block_length()
+    period = w.samples_per_period
+    last = max((shift for shift, _ in shifted_gains), default=0)
+    summed = n
+    if period is not None and last + period < n and _repeats(w.samples, period, block):
+        summed = last + period
     out = np.zeros(n, dtype=np.complex128)
-    scratch = np.empty(min(block, n), dtype=np.complex128)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    scratch = np.empty(min(block, summed), dtype=np.complex128)
+    for start in range(0, summed, block):
+        stop = min(start + block, summed)
         for shift, gain in shifted_gains:
             lo = max(start, shift)
             if lo < stop:
@@ -294,6 +326,8 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
                 # differ in the last bit when the operands are swapped
                 np.multiply(gain, w.samples[lo - shift : stop - shift], out=copy)
                 out[lo:stop] += copy
+    if summed < n:
+        tile_forward(out, last, period)
 
     if scale is not None:
         rng = np.random.default_rng(ch.rng_seed)

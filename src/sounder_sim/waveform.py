@@ -44,6 +44,20 @@ def block_length(multiple: int = 1) -> int:
     return max(multiple, (BLOCK // multiple) * multiple)
 
 
+def tile_forward(array: np.ndarray, start: int, period: int) -> None:
+    """Repeat array[start:start + period] over the rest of array, in place.
+
+    Each copy doubles the repeated span, which stays a whole number of
+    periods, so every copy lands in phase: afterwards array[k] is
+    array[k - period] for every k >= start + period.
+    """
+    filled, size = period, array.size - start
+    while filled < size:
+        copied = min(filled, size - filled)
+        array[start + filled : start + filled + copied] = array[start : start + copied]
+        filled += copied
+
+
 def code_source(table: np.ndarray, rate: float, sample_rate: float, span: int, total: int):
     """code(start, count): the bipolar code at samples start..start+count-1.
 
@@ -65,11 +79,7 @@ def code_source(table: np.ndarray, rate: float, sample_rate: float, span: int, t
         tiled = np.empty(min(total, span + period - 1))
         head = min(period, tiled.size)
         tiled[:head] = table[np.arange(head) // run]
-        filled = head  # a whole number of periods, so copies stay in phase
-        while filled < tiled.size:
-            copied = min(filled, tiled.size - filled)
-            tiled[filled : filled + copied] = tiled[:copied]
-            filled += copied
+        tile_forward(tiled, 0, period)
         tiled.setflags(write=False)
 
         def code(start: int, count: int) -> np.ndarray:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sounder_sim.channel as channel_mod
 import sounder_sim.waveform as waveform_mod
 from sounder_sim.channel import (
     ChannelModel,
@@ -25,7 +26,8 @@ from sounder_sim.channel import (
 )
 from sounder_sim.errors import ConfigError, DelayExceedsDuration, InvalidSnr
 from sounder_sim.pn import default_config, generate_period
-from sounder_sim.waveform import SampledWaveform, chips_to_waveform
+from sounder_sim.sounder import Mode, SounderConfig, tx_baseband
+from sounder_sim.waveform import SampledWaveform, chips_to_waveform, inject_jitter
 
 
 @pytest.fixture()
@@ -384,3 +386,126 @@ class TestApplyChannel:
         measured = float(np.mean(np.abs(noise) ** 2))
         expected = w.power() * 10 ** (-snr_db / 10)
         assert measured == pytest.approx(expected, rel=0.05)
+
+
+@pytest.fixture()
+def tilings(monkeypatch):
+    """The (start, period) of every tile_forward call apply_channel makes."""
+    calls = []
+
+    def spy(array, start, period):
+        calls.append((start, period))
+        waveform_mod.tile_forward(array, start, period)
+
+    monkeypatch.setattr(channel_mod, "tile_forward", spy)
+    return calls
+
+
+def periodic_input(source, block):
+    """A waveform that repeats every period, two blocks and a partial one long."""
+    n = 2 * block + 345
+    if source == "tx":
+        # 31 chips at 4 samples per chip: 124-sample period, 5 samples over
+        cfg = SounderConfig(pn=default_config(5), alpha=1e6, beta=0.995e6,
+                            sample_rate=4e6, capture=n / 4e6, mode=Mode.TX)
+        w = tx_baseband(cfg)
+        assert len(w) == n
+        return w
+    # 127 chips at 3 samples per chip: 381-sample period, cut short of a whole one
+    w = chips_to_waveform(generate_period(default_config(7), chip_rate=1e6), 3,
+                          periods=-(-n // 381))
+    return dataclasses.replace(w, samples=w.samples[:n])
+
+
+class TestTiledRoute:
+    """apply_channel on inputs that repeat every period, and on ones that do not."""
+
+    @pytest.mark.parametrize("source", ["tx", "chips"])
+    @pytest.mark.parametrize("block", [None, 1000])
+    @pytest.mark.parametrize("snr_db", [None, 15.0])
+    @pytest.mark.parametrize(
+        "shifts", [(0,), (37,), (500,), ("block",), (0, 37, 500, "block")],
+        ids=["zero", "within-period", "beyond-period", "beyond-block", "all"],
+    )
+    def test_periodic_input_is_tiled_to_the_same_bytes(
+        self, monkeypatch, tilings, source, block, snr_db, shifts
+    ):
+        if block is not None:
+            monkeypatch.setattr(waveform_mod, "BLOCK", block)
+        block = waveform_mod.block_length()
+        w = periodic_input(source, block)
+        period = w.samples_per_period
+        assert len(w) % period and len(w) % block
+        shifts = [block + 77 if s == "block" else s for s in shifts]
+        sample_ns = 1e9 / w.sample_rate
+        ch = ChannelModel(
+            paths=tuple(
+                PathSpec(delay_ns=s * sample_ns, gain_db=-1.5 * i, phase_deg=17.0 + 71.0 * i)
+                for i, s in enumerate(shifts)
+            ),
+            snr_db=snr_db,
+            rng_seed=4,
+        )
+        out = apply_channel(w, ch)
+        assert out.samples.tobytes() == reference_apply_channel(w, ch).tobytes()
+        assert tilings == [(max(shifts), period)]
+
+    @pytest.fixture(params=["jittered", "changed-last-block", "negative-zero"])
+    def non_repeating(self, request):
+        if request.param == "jittered":
+            # framed, but its chip edges move: no period repeats
+            seq = generate_period(default_config(7), chip_rate=1e6)
+            return inject_jitter(chips_to_waveform(seq, 3, periods=87), 0.2e-6, rng_seed=3)
+        w = periodic_input("tx", waveform_mod.block_length())
+        samples = w.samples.copy()
+        if request.param == "changed-last-block":
+            samples[-2] = 0.5
+        else:
+            assert samples.imag[5000] == 0.0
+            samples.imag[5000] = -0.0
+        return dataclasses.replace(w, samples=samples)
+
+    @pytest.mark.parametrize("snr_db", [None, 15.0])
+    def test_non_repeating_input_sums_every_path(self, tilings, non_repeating, snr_db):
+        w = non_repeating
+        assert w.samples_per_period is not None
+        ch = ChannelModel(
+            paths=(PathSpec(delay_ns=0.0), PathSpec(delay_ns=9250.0, gain_db=-4.0,
+                                                     phase_deg=115.0)),
+            snr_db=snr_db,
+            rng_seed=4,
+        )
+        out = apply_channel(w, ch)
+        assert out.samples.tobytes() == reference_apply_channel(w, ch).tobytes()
+        assert tilings == []
+
+    def test_period_past_the_end_sums_every_path(self, tilings, pn_wave):
+        # two periods, and the last path arrives after the first: no whole
+        # period is left to repeat
+        ch = ChannelModel(paths=(PathSpec(delay_ns=0.0), PathSpec(delay_ns=600.0)))
+        out = apply_channel(pn_wave, ch)
+        assert out.samples.tobytes() == reference_apply_channel(pn_wave, ch).tobytes()
+        assert tilings == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        period=st.integers(1, 300),
+        n=st.integers(1, 3000),
+        shifts=st.lists(st.integers(0, 2999), min_size=1, max_size=4),
+        block=st.integers(1, 700),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_periods_match_the_per_path_sum(self, period, n, shifts, block, seed):
+        rng = np.random.default_rng(seed)
+        one = rng.standard_normal(period) + 1j * rng.standard_normal(period)
+        w = SampledWaveform(samples=np.resize(one, n), sample_rate=1e9,
+                            samples_per_chip=1, chips_per_period=period)
+        ch = ChannelModel(paths=tuple(
+            PathSpec(delay_ns=float(s), gain_db=float(rng.uniform(-20, 0)),
+                     phase_deg=float(rng.uniform(0, 360)))
+            for s in shifts if s < n
+        ) or (PathSpec(delay_ns=0.0),))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(waveform_mod, "BLOCK", block)
+            out = apply_channel(w, ch)
+        assert out.samples.tobytes() == reference_apply_channel(w, ch).tobytes()
