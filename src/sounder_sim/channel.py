@@ -1,4 +1,4 @@
-"""Static multipath channel: a tapped delay line plus optional AWGN.
+"""Static multipath channel: a tapped delay line plus an optional noise level.
 
 Each path is a delayed copy of the input scaled by a complex gain, and the
 copies superpose. A path holds the channel document's own numbers (delay in
@@ -8,12 +8,10 @@ nearest sample; test fixtures keep them on the sample grid so quantization
 never moves a path by more than half a sample. An input that repeats every
 code period gives an output that repeats from the last path's arrival on,
 so apply_channel sums the paths only up to one period past it and tiles the
-rest (waveform.tile_forward). Noise is complex circular Gaussian with
-variance set by snr_db relative to the strongest path's received power
-(noise_std). apply_channel adds it per sample; `sounder-sim sound` leaves it
-out here and draws it in the correlator, per decimation window (see
-sliding_correlate), with the same distribution but a different
-realisation for one seed.
+rest (waveform.tile_forward). The noise is complex circular Gaussian with
+variance set by snr_db relative to the strongest path's received power for
+a unit-power input (noise_std). apply_channel adds none: the receiver draws
+it, per decimation window (see sliding_correlate).
 """
 
 from __future__ import annotations
@@ -211,30 +209,29 @@ class ChannelModel:
         if not kept:
             raise ConfigError("all paths cancel; channel would be identically zero")
         object.__setattr__(self, "paths", tuple(kept))
+        self.noise_std()  # a level float64 cannot hold is refused here
 
     @property
     def strongest_gain_db(self) -> float:
         return max(p.gain_db for p in self.paths)
 
-    def noise_std(self, input_power: float) -> float | None:
+    def noise_std(self) -> float | None:
         """Standard deviation of each noise component (real or imaginary).
 
-        input_power is the mean power of the signal entering the channel;
-        None for a noiseless channel. A variance float64 cannot hold is a
-        ConfigError.
+        Relative to a unit-power input, as every code waveform is; None for
+        a noiseless channel. A variance float64 cannot hold is a ConfigError.
         """
         if self.snr_db is None:
             return None
         try:
-            signal_power = input_power * 10.0 ** (self.strongest_gain_db / 10.0)
+            signal_power = 10.0 ** (self.strongest_gain_db / 10.0)
             noise_var = signal_power * 10.0 ** (-self.snr_db / 10.0)
         except OverflowError:
             noise_var = math.inf
         if not math.isfinite(noise_var):
             raise ConfigError(
-                f"channel noise variance is not a finite float: input power"
-                f" {input_power:g}, strongest path {self.strongest_gain_db:g} dB,"
-                f" snr_db {self.snr_db:g}"
+                f"channel noise variance is not a finite float: strongest path"
+                f" {self.strongest_gain_db:g} dB, snr_db {self.snr_db:g}"
             )
         return math.sqrt(noise_var / 2.0)
 
@@ -277,14 +274,12 @@ def _repeats(samples: np.ndarray, period: int, block: int) -> bool:
 
 
 def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
-    """Superpose delayed, complex-scaled copies of the input, then add noise.
+    """Superpose delayed, complex-scaled copies of the input.
 
     Output has the input's length; each copy is shifted right by its delay
     rounded to the nearest sample (zero-fill at the head, tail truncated).
-    Paths and noise are added block by block into the one output array. The
-    noise takes all real parts from the seeded stream, then all imaginary
-    parts, which is the order of two whole-length standard_normal draws, so
-    block size cannot change the output.
+    Paths are added block by block into the one output array. The channel's
+    noise is left to the receiver (sliding_correlate).
 
     An input that repeats bit for bit every samples_per_period samples P,
     as every chips_to_waveform output and every tx_baseband output at a
@@ -305,8 +300,6 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
         shift = int(round(p.delay * w.sample_rate))
         if shift < n:
             shifted_gains.append((shift, p.complex_gain))
-    # power first: its whole-capture |x| temporary is freed before out exists
-    scale = ch.noise_std(w.power()) if ch.snr_db is not None else None
 
     block = block_length()
     period = w.samples_per_period
@@ -328,17 +321,6 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
                 out[lo:stop] += copy
     if summed < n:
         tile_forward(out, last, period)
-
-    if scale is not None:
-        rng = np.random.default_rng(ch.rng_seed)
-        draw = np.empty(min(block, n))
-        for part in (out.real, out.imag):
-            for start in range(0, n, block):
-                stop = min(start + block, n)
-                noise = draw[: stop - start]
-                rng.standard_normal(out=noise)
-                noise *= scale
-                part[start:stop] += noise
 
     return SampledWaveform(
         samples=out,

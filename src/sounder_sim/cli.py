@@ -142,14 +142,11 @@ def cmd_sound(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     profile_bins(spec.pn.length, periods, effective.bins_per_chip)
     rx_cfg = effective.sounder_config(Mode.RX)
-    # tx_baseband emits ±1 samples, so its power is exactly 1
-    noise_std = channel.noise_std(1.0)
     started = time.perf_counter()
     tx = tx_baseband(effective.sounder_config(Mode.TX))
-    # the correlator draws the noise per decimation window (sliding_correlate)
-    received = apply_channel(tx, dataclasses.replace(channel, snr_db=None))
+    received = apply_channel(tx, channel)
     del tx  # the correlator needs only the received copy
-    trace = sliding_correlate(received, rx_cfg, noise_std, channel.rng_seed)
+    trace = sliding_correlate(received, rx_cfg, channel)
     profile = extract_pdp(trace, periods, bins_per_chip=effective.bins_per_chip)
     paths = extract_paths(profile, floor_db=effective.floor_db)
     duration = time.perf_counter() - started

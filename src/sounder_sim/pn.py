@@ -11,6 +11,7 @@ t and t+1.
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -231,8 +232,10 @@ class ChipSequence:
             raise ConfigError("chips must be a nonempty 1-D bit array")
         if self.chips.max(initial=0) > 1:
             raise ConfigError("chips must be 0/1")
-        if self.chip_rate <= 0:
-            raise ConfigError("chip_rate must be positive")
+        if not (math.isfinite(self.chip_rate) and self.chip_rate > 0):
+            raise ConfigError(
+                f"chip_rate must be positive and finite, got {self.chip_rate!r}"
+            )
 
     def __len__(self) -> int:
         return int(self.chips.size)

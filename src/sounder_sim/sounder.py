@@ -188,8 +188,11 @@ class PdpProfile:
 
     def __post_init__(self):
         freeze_arrays(self, np.float64, "power_linear")
-        if np.ndim(self.power_linear) != 1 or not self.alpha > 0 or self.bins_per_chip < 1:
-            raise ConfigError("a profile needs 1-D power, alpha > 0, bins_per_chip >= 1")
+        if (np.ndim(self.power_linear) != 1 or not 0 < self.alpha < math.inf
+                or self.bins_per_chip < 1):
+            raise ConfigError(
+                "a profile needs 1-D power, finite alpha > 0, bins_per_chip >= 1"
+            )
 
     @functools.cached_property
     def delays(self) -> np.ndarray:
@@ -282,8 +285,7 @@ def tx_baseband(cfg: SounderConfig) -> SampledWaveform:
 def sliding_correlate(
     received: SampledWaveform,
     cfg: SounderConfig,
-    noise_std: float | None = None,
-    noise_seed: int = 0,
+    channel: ChannelModel | None = None,
 ) -> PdpTrace:
     """Stream the received samples through the sliding correlator.
 
@@ -304,14 +306,15 @@ def sliding_correlate(
     summation with the number of rows and so with the block size. Blocks
     are cut at window boundaries, so block size cannot change results.
 
-    A noise_std adds complex white Gaussian noise to the input, noise_std
-    per component, at the window rate: mixing with a ±1 code, the filter
-    and the dump are linear, so each window's A- and B-sums of the noise on
-    one arm are jointly Gaussian with covariance noise_std² W Wᵀ
-    (_window_noise_factor), independent across windows and arms. After the
-    block loop one default_rng(noise_seed) call draws 2 normals per window
-    per arm, in window order, so block size cannot change them. The sync
-    row, the local TX code times the RX code, carries no noise.
+    A noisy channel's noise, complex white Gaussian with σ =
+    channel.noise_std() per component, is added at the window rate: mixing
+    with a ±1 code, the filter and the dump are linear, so each window's A-
+    and B-sums of the noise on one arm are jointly Gaussian with covariance
+    σ² W Wᵀ (_window_noise_factor), independent across windows and arms.
+    After the block loop one default_rng(channel.rng_seed) call draws 2
+    normals per window per arm, in window order, so block size cannot
+    change them. The sync row, the local TX code times the RX code, carries
+    no noise; the channel's paths are apply_channel's.
     """
     if cfg.mode is not Mode.RX:
         raise ConfigError("sliding_correlate needs a config with mode=RX")
@@ -325,6 +328,8 @@ def sliding_correlate(
             f"{n_total / cfg.sample_rate:g} s of input covers less than one "
             f"dilated period ({cfg.dilated_period:g} s)"
         )
+
+    noise_std = None if channel is None else channel.noise_std()
 
     from scipy.signal import lfilter  # a 1.2 s import that only sounding needs
 
@@ -357,7 +362,7 @@ def sliding_correlate(
             "wk,jk->jw", rows.reshape(-1, dec), weights
         ).reshape(2, 3, -1)
     if noise_std is not None:
-        normals = np.random.default_rng(noise_seed).standard_normal((2, 2, windows))
+        normals = np.random.default_rng(channel.rng_seed).standard_normal((2, 2, windows))
         factor = noise_std * _window_noise_factor(weights)
         sums[0, :2] += factor[0, 0] * normals[0]
         sums[1, :2] += factor[1, 0] * normals[0] + factor[1, 1] * normals[1]

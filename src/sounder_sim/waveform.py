@@ -9,6 +9,7 @@ bin and the sinc^2 envelope nulls collapse to numerical zero.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,8 +143,10 @@ class SampledWaveform:
         freeze_arrays(self, np.complex128, "samples")
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ConfigError("samples must be a nonempty 1-D array")
-        if not self.sample_rate > 0:
-            raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise ConfigError(
+                f"sample_rate must be positive and finite, got {self.sample_rate!r}"
+            )
         m = self.samples_per_chip
         if m is not None and not (isinstance(m, (int, np.integer)) and m >= 1):
             raise ConfigError(f"samples_per_chip must be an integer >= 1, got {m!r}")
@@ -164,11 +167,6 @@ class SampledWaveform:
     def samples_per_period(self) -> int | None:
         m, chips = self.samples_per_chip, self.chips_per_period
         return None if m is None or chips is None else m * chips
-
-    def power(self) -> float:
-        """Mean square magnitude."""
-        magnitude = np.abs(self.samples)
-        return float(np.mean(np.square(magnitude, out=magnitude)))
 
 
 @dataclass(frozen=True)
@@ -191,6 +189,10 @@ class PowerSpectrum:
             raise ConfigError("power_linear must be a nonempty 1-D array")
         if float(self.power_linear.max()) <= 0:
             raise ConfigError("all-zero waveform has no spectrum peak")
+        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise ConfigError(
+                f"sample_rate must be positive and finite, got {self.sample_rate!r}"
+            )
 
     @functools.cached_property
     def freqs(self) -> np.ndarray:

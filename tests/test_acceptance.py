@@ -106,7 +106,7 @@ def desk_setup(sample_rate):
 def desk_profile(ch, sample_rate=4e6, bins_per_chip=1):
     cfg, tx = desk_setup(sample_rate)
     rx_cfg = dataclasses.replace(cfg, mode=Mode.RX)
-    trace = sliding_correlate(apply_channel(tx, ch), rx_cfg)
+    trace = sliding_correlate(apply_channel(tx, ch), rx_cfg, ch)
     return trace, extract_pdp(trace, 4, bins_per_chip=bins_per_chip)
 
 
@@ -255,7 +255,7 @@ def test_criterion_5_delay_resolution_at_paper_rates():
                 paths=(PathSpec(delay_ns=0.0),
                        PathSpec(delay_ns=separation_ns, phase_deg=90.0))
             )
-            trace = sliding_correlate(apply_channel(tx, ch), rx_cfg)
+            trace = sliding_correlate(apply_channel(tx, ch), rx_cfg, ch)
             prof = extract_pdp(trace, 4, bins_per_chip=4)
             paths = extract_paths(prof, floor_db=RESOLUTION_FLOOR_DB)
             found[separation_ns] = [round(p.delay * 1e9, 3) for p in paths]
@@ -318,7 +318,7 @@ def test_criterion_7_time_scale_invariance():
                        PathSpec(delay_ns=7000.0 / scale, gain_db=-6.0, phase_deg=40.0))
             )
             trace = sliding_correlate(
-                apply_channel(tx, ch), dataclasses.replace(cfg, mode=Mode.RX)
+                apply_channel(tx, ch), dataclasses.replace(cfg, mode=Mode.RX), ch
             )
             profiles.append(extract_pdp(trace, 4))
         small, big = profiles

@@ -287,6 +287,13 @@ class TestSequenceContainer:
         with pytest.raises(ConfigError):
             ChipSequence(chips=np.array([0, 2, 1]))
 
+    @pytest.mark.parametrize("chip_rate", [0.0, -1e6, float("nan"), float("inf")])
+    def test_rejects_non_positive_or_non_finite_chip_rate(self, chip_rate):
+        with pytest.raises(ConfigError, match="chip_rate must be"):
+            ChipSequence(chips=np.array([0, 1, 1], dtype=np.uint8), chip_rate=chip_rate)
+        with pytest.raises(ConfigError, match="chip_rate must be"):
+            generate_period(default_config(5), chip_rate=chip_rate)
+
     def test_chip_rate_carried(self):
         seq = generate_period(default_config(5), chip_rate=1e9)
         assert seq.chip_rate == 1e9

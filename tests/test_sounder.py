@@ -40,6 +40,7 @@ from sounder_sim.sounder import (
     tx_baseband,
 )
 from sounder_sim.waveform import SampledWaveform, power_spectrum, ratio_to_db
+from test_channel import reference_apply_channel
 
 PN9 = default_config(9)
 CHIP = 1e-6  # desk-scale chip duration (alpha = 1 MHz)
@@ -128,7 +129,7 @@ def desk():
 
 def run_channel(desk, ch, periods=4, bins_per_chip=1):
     _, tx, rx_cfg = desk
-    trace = sliding_correlate(apply_channel(tx, ch), rx_cfg)
+    trace = sliding_correlate(apply_channel(tx, ch), rx_cfg, ch)
     return trace, extract_pdp(trace, periods, bins_per_chip=bins_per_chip)
 
 
@@ -215,8 +216,9 @@ class TestTxBaseband:
 
     @pytest.mark.parametrize("sample_rate", [4e6, 4.3e6])
     def test_power_is_exactly_one(self, sample_rate):
-        # `sound` sets its noise level from this power without measuring it
-        assert tx_baseband(desk_config(sample_rate=sample_rate)).power() == 1.0
+        # the channel's noise level is relative to this power, never measured
+        samples = tx_baseband(desk_config(sample_rate=sample_rate)).samples
+        assert float(np.mean(np.abs(samples) ** 2)) == 1.0
 
     def test_integer_oversampling_matches_repeat(self):
         cfg = desk_config(capture=511e-6)  # exactly one period
@@ -418,7 +420,7 @@ class TestSlidingCorrelate:
         def chain():
             sent = tx_baseband(short)
             received = apply_channel(sent, noisy)
-            return sent, received, sliding_correlate(received, rx_cfg)
+            return sent, received, sliding_correlate(received, rx_cfg, noisy)
 
         full = chain()
         monkeypatch.setattr(waveform_mod, "BLOCK", 77777)
@@ -608,8 +610,13 @@ def lag_correlation(x, lag):
     return float(np.dot(x[:-lag], x[lag:]) / np.dot(x, x))
 
 
+def receiver_noise(snr_db, seed):
+    """A one-path 0 dB channel: its noise, drawn by the correlator, is all it adds."""
+    return ChannelModel(paths=(PathSpec(delay_ns=0.0),), snr_db=snr_db, rng_seed=seed)
+
+
 class TestWindowRateNoise:
-    """sliding_correlate's noise_std: receiver noise drawn per decimation window."""
+    """sliding_correlate's channel: receiver noise drawn per decimation window."""
 
     @pytest.mark.parametrize(
         "omega,dec",
@@ -639,12 +646,12 @@ class TestWindowRateNoise:
         _, tx, rx_cfg = desk
         paths = (PathSpec(delay_ns=0.0), PathSpec(delay_ns=3000.0, gain_db=-6.0))
         noisy = ChannelModel(paths=paths, snr_db=10.0, rng_seed=7)
-        received = apply_channel(tx, ChannelModel(paths=paths))
+        received = apply_channel(tx, noisy)
         clean = trace_rows(sliding_correlate(received, rx_cfg))[:2]
-        per_sample = trace_rows(sliding_correlate(apply_channel(tx, noisy), rx_cfg))[:2]
-        per_window = trace_rows(
-            sliding_correlate(received, rx_cfg, noisy.noise_std(tx.power()), 7)
-        )[:2]
+        per_sample_input = SampledWaveform(samples=reference_apply_channel(tx, noisy),
+                                           sample_rate=tx.sample_rate)
+        per_sample = trace_rows(sliding_correlate(per_sample_input, rx_cfg))[:2]
+        per_window = trace_rows(sliding_correlate(received, rx_cfg, noisy))[:2]
         assert per_window.shape[1] > 40000
         stats = []
         for trace in (per_sample, per_window):
@@ -661,7 +668,7 @@ class TestWindowRateNoise:
     def test_noise_leaves_the_sync_row_alone(self, desk):
         _, tx, rx_cfg = desk
         clean = sliding_correlate(tx, rx_cfg)
-        noisy = sliding_correlate(tx, rx_cfg, 0.3, 5)
+        noisy = sliding_correlate(tx, rx_cfg, receiver_noise(7.0, 5))
         assert noisy.sync.tobytes() == clean.sync.tobytes()
         assert not np.array_equal(noisy.i_out, clean.i_out)
         assert not np.array_equal(noisy.q_out, clean.q_out)
@@ -671,13 +678,24 @@ class TestWindowRateNoise:
         cfg = desk_config(mode=Mode.RX, lpf_cutoff=1e6 if dec == 1 else None)
         assert cfg.decimation == dec
         received = random_capture(cfg)
-        first = trace_rows(sliding_correlate(received, cfg, 0.7, 12)).tobytes()
-        assert trace_rows(sliding_correlate(received, cfg, 0.7, 12)).tobytes() == first
+        noise = receiver_noise(0.0, 12)
+        first = trace_rows(sliding_correlate(received, cfg, noise)).tobytes()
+        assert trace_rows(sliding_correlate(received, cfg, noise)).tobytes() == first
         monkeypatch.setattr(waveform_mod, "BLOCK", 77777)
         assert len(received) > 2 * waveform_mod.block_length(dec)  # several blocks
-        assert trace_rows(sliding_correlate(received, cfg, 0.7, 12)).tobytes() == first
-        other_seed = trace_rows(sliding_correlate(received, cfg, 0.7, 13)).tobytes()
-        assert other_seed != first
+        assert trace_rows(sliding_correlate(received, cfg, noise)).tobytes() == first
+        other = trace_rows(sliding_correlate(received, cfg,
+                                             dataclasses.replace(noise, rng_seed=13)))
+        assert other.tobytes() != first
+
+    def test_noiseless_channel_adds_nothing(self, desk):
+        # the correlator takes only the channel's noise; its paths are
+        # apply_channel's
+        _, tx, rx_cfg = desk
+        clean = trace_rows(sliding_correlate(tx, rx_cfg)).tobytes()
+        quiet = ChannelModel(paths=(PathSpec(delay_ns=0.0),
+                                    PathSpec(delay_ns=3000.0, gain_db=-6.0)))
+        assert trace_rows(sliding_correlate(tx, rx_cfg, quiet)).tobytes() == clean
 
     def test_decimation_one_stays_finite(self):
         # both weight rows are equal, so W Wᵀ is singular; no NaN may appear
@@ -687,7 +705,7 @@ class TestWindowRateNoise:
             2 * math.pi * cfg.lpf_cutoff / cfg.sample_rate, 1
         )
         assert sounder_mod._window_noise_factor(weights)[1, 1] == 0.0
-        trace = sliding_correlate(random_capture(cfg), cfg, 1.0, 3)
+        trace = sliding_correlate(random_capture(cfg), cfg, receiver_noise(-3.0, 3))
         assert np.isfinite(trace_rows(trace)).all()
 
 
@@ -774,7 +792,7 @@ class TestExtractPdp:
             sliding_correlate(apply_channel(tx, identity_channel()), rx_cfg), 8
         )
         noisy_ch = ChannelModel(paths=(PathSpec(delay_ns=0.0),), snr_db=20.0, rng_seed=11)
-        trace = sliding_correlate(apply_channel(tx, noisy_ch), rx_cfg)
+        trace = sliding_correlate(apply_channel(tx, noisy_ch), rx_cfg, noisy_ch)
         deviations = []
         for periods in (1, 2, 4, 8):
             prof = extract_pdp(trace, periods)
@@ -847,7 +865,8 @@ class TestPdpProfile:
     @pytest.mark.parametrize(
         "field,value",
         [("power_linear", np.ones((2, 2))), ("power_linear", None),
-         ("alpha", 0.0), ("alpha", math.nan), ("bins_per_chip", 0)],
+         ("alpha", 0.0), ("alpha", math.nan), ("alpha", math.inf),
+         ("bins_per_chip", 0)],
     )
     def test_malformed_grid_rejected(self, field, value):
         fields = dict(power_linear=np.ones(4), alpha=1e6, bins_per_chip=1, averaged_over=1)

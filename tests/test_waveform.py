@@ -102,6 +102,12 @@ class TestFraming:
                 np.ones(155), sample_rate=2.5e6, samples_per_chip=m, chips_per_period=31
             )
 
+    @pytest.mark.parametrize("sample_rate", [0.0, -4e6, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_sample_rate_refused(self, sample_rate):
+        # an infinite rate would give a waveform of duration 0
+        with pytest.raises(ConfigError, match="sample_rate must be"):
+            SampledWaveform(np.ones(8), sample_rate=sample_rate)
+
     def test_chip_rate_derives_from_the_framing(self, seq11):
         w = chips_to_waveform(seq11, samples_per_chip=4)
         assert w.chip_rate == w.sample_rate / 4
@@ -128,11 +134,16 @@ class TestPowerSpectrum:
         with pytest.raises(ConfigError):
             PowerSpectrum(power_linear=power, sample_rate=1e6)
 
+    @pytest.mark.parametrize("sample_rate", [0.0, -1e6, float("nan"), float("inf")])
+    def test_refuses_a_grid_without_a_finite_rate(self, sample_rate):
+        with pytest.raises(ConfigError, match="sample_rate must be"):
+            PowerSpectrum(power_linear=np.ones(8), sample_rate=sample_rate)
+
     def test_energy_conserved(self, seq11):
         w = chips_to_waveform(seq11, samples_per_chip=2, periods=2)
         ps = power_spectrum(w)
         total = float(ps.power_linear.sum())
-        assert total == pytest.approx(w.power(), rel=1e-6)
+        assert total == pytest.approx(np.mean(np.abs(w.samples) ** 2), rel=1e-6)
 
     def test_peak_normalized_to_zero_db(self, seq11):
         ps = power_spectrum(chips_to_waveform(seq11, samples_per_chip=2))
