@@ -5,10 +5,10 @@ copies superpose. A path holds the channel document's own numbers (delay in
 ns, gain in dB, phase in degrees), so a channel written with to_json_dict
 reads back with every complex gain bit for bit. Delays are quantized to the
 nearest sample; test fixtures keep them on the sample grid so quantization
-never moves a path by more than half a sample. An input that repeats every
-code period gives an output that repeats from the last path's arrival on,
-so apply_channel sums the paths only up to one period past it and tiles the
-rest (waveform.tile_forward). The noise is complex circular Gaussian with
+never moves a path by more than half a sample. An input that states its
+period repeats bit for bit, so its output repeats from the last path's
+arrival on: apply_channel sums the paths only up to one period past it
+and tiles the rest (waveform.tile_forward). The noise is complex circular Gaussian with
 variance set by snr_db relative to the strongest path's received power for
 a unit-power input (noise_std). apply_channel adds none: the receiver draws
 it, per decimation window (see sliding_correlate).
@@ -182,8 +182,10 @@ class ChannelModel:
             raise ConfigError("channel needs at least one path")
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise InvalidSnr(f"snr_db must be finite or None, got {self.snr_db}")
-        if self.rng_seed < 0:
-            raise ConfigError(f"noise seed must be >= 0, got {self.rng_seed}")
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigError(f"noise seed must be an integer >= 0, got {seed!r}")
+        object.__setattr__(self, "rng_seed", int(seed))
 
         groups: dict[float, list[PathSpec]] = {}
         for p in sorted(paths, key=lambda p: p.delay_ns):
@@ -258,21 +260,6 @@ def identity_channel() -> ChannelModel:
     return ChannelModel(paths=(PathSpec(delay_ns=0.0),))
 
 
-def _repeats(samples: np.ndarray, period: int, block: int) -> bool:
-    """Whether samples[k] holds the bits of samples[k - period] for every k >= period.
-
-    Bits, not values: equal bits through equal operations give equal bits,
-    which == cannot promise (0.0 == -0.0, and a NaN equals nothing).
-    """
-    bits = samples.view(np.dtype((np.uint64, 2)))
-    n = bits.shape[0]
-    for start in range(period, n, block):
-        stop = min(start + block, n)
-        if not np.array_equal(bits[start:stop], bits[start - period : stop - period]):
-            return False
-    return True
-
-
 def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
     """Superpose delayed, complex-scaled copies of the input.
 
@@ -281,14 +268,15 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
     Paths are added block by block into the one output array. The channel's
     noise is left to the receiver (sliding_correlate).
 
-    An input that repeats bit for bit every samples_per_period samples P,
-    as every chips_to_waveform output and every tx_baseband output at a
-    whole fs/alpha does, is summed path by path only up to last + P, where
-    last is the largest path shift. From last on, each output sample takes
-    the same operations on the same bits as the sample P before it, so the
-    rest is copies of out[last:last + P] (tile_forward), the same bytes at
-    one copy's cost whatever the path count. Any other input, a jittered
-    one among them, is summed path by path throughout.
+    An input that states a period P (samples_per_period: every
+    chips_to_waveform output and every tx_baseband output at a whole
+    fs/alpha) repeats bit for bit every P samples, so it is summed path by
+    path only up to last + P, where last is the largest path shift. From
+    last on, each output sample takes the same operations on the same bits
+    as the sample P before it, so the rest is copies of out[last:last + P]
+    (tile_forward), the same bytes at one copy's cost whatever the path
+    count. Any other input is summed path by path throughout. The output,
+    zero-filled at its head, states no period.
     """
     n = len(w)
     shifted_gains = []
@@ -304,9 +292,7 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
     block = block_length()
     period = w.samples_per_period
     last = max((shift for shift, _ in shifted_gains), default=0)
-    summed = n
-    if period is not None and last + period < n and _repeats(w.samples, period, block):
-        summed = last + period
+    summed = last + period if period is not None and last + period < n else n
     out = np.zeros(n, dtype=np.complex128)
     scratch = np.empty(min(block, summed), dtype=np.complex128)
     for start in range(0, summed, block):
@@ -322,9 +308,4 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
     if summed < n:
         tile_forward(out, last, period)
 
-    return SampledWaveform(
-        samples=out,
-        sample_rate=w.sample_rate,
-        samples_per_chip=w.samples_per_chip,
-        chips_per_period=w.chips_per_period,
-    )
+    return SampledWaveform(out, w.sample_rate, w.samples_per_chip)

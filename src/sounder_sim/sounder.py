@@ -44,6 +44,7 @@ from .waveform import (
     SampledWaveform,
     block_length,
     code_source,
+    periodic_code,
     ratio_to_db,
     sample_code,
 )
@@ -267,19 +268,19 @@ def tx_baseband(cfg: SounderConfig) -> SampledWaveform:
     """The sounding waveform: capture seconds of the bipolar code at rate alpha.
 
     Chip k spans [k/alpha, (k+1)/alpha); sample n takes the chip at t = n/fs,
-    so chip boundaries sit on the exact time grid for any fs >= 2*alpha. The
-    waveform is framed in chips only when fs/alpha is a whole number.
+    so chip boundaries sit on the exact time grid for any fs >= 2*alpha. Only
+    when fs/alpha is a whole number is the waveform framed in chips, and then
+    it states its period (periodic_code).
     """
     if cfg.mode is not Mode.TX:
         raise ConfigError("tx_baseband needs a config with mode=TX")
     count = _capture_samples(cfg)
+    table = _bipolar_table(cfg.pn)
     m = cfg.sample_rate / cfg.alpha
-    return SampledWaveform(
-        samples=sample_code(_bipolar_table(cfg.pn), cfg.alpha, cfg.sample_rate, count),
-        sample_rate=cfg.sample_rate,
-        samples_per_chip=int(m) if m.is_integer() else None,
-        chips_per_period=cfg.pn.length if m.is_integer() else None,
-    )
+    if m.is_integer():
+        return periodic_code(table, int(m), count, cfg.sample_rate)
+    samples = sample_code(table, cfg.alpha, cfg.sample_rate, count)
+    return SampledWaveform(samples, cfg.sample_rate)
 
 
 def sliding_correlate(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,15 +129,17 @@ def ratio_to_db(ratio: np.ndarray) -> np.ndarray:
 class SampledWaveform:
     """Complex baseband samples at a fixed rate.
 
-    ``samples_per_chip`` (whole) and ``chips_per_period`` frame waveforms
-    built from a chip sequence; spectral-null search and jitter injection
-    need them, generic math does not. ``chip_rate`` derives from them.
+    ``samples_per_chip`` (whole) frames waveforms built from a chip
+    sequence; ``chip_rate`` derives from it. ``chips_per_period`` is set
+    only by periodic_code, never by the constructor or replace (which
+    resets it), so ``samples_per_period`` is None unless the samples repeat
+    bit for bit every samples_per_period samples.
     """
 
     samples: np.ndarray
     sample_rate: float
     samples_per_chip: int | None = None
-    chips_per_period: int | None = None
+    chips_per_period: int | None = field(default=None, init=False)
 
     def __post_init__(self):
         freeze_arrays(self, np.complex128, "samples")
@@ -208,6 +210,26 @@ class PowerSpectrum:
         return self.sample_rate / self.power_linear.size
 
 
+def periodic_code(
+    table: np.ndarray, m: int, count: int, sample_rate: float
+) -> SampledWaveform:
+    """count samples of the code table at a whole m samples per chip.
+
+    Sample n carries chip (n // m) mod L, so the samples repeat bit for bit
+    every L * m samples; this is the one place that states that period.
+    """
+    w = SampledWaveform(sample_code(table, 1.0, m, count), sample_rate, m)
+    object.__setattr__(w, "chips_per_period", table.size)
+    return w
+
+
+def _whole_count(value, name: str) -> int:
+    """value as an int, refused with ConfigError unless a finite whole number >= 1."""
+    if not (math.isfinite(value) and value >= 1 and value == int(value)):
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def chips_to_waveform(
     seq: ChipSequence, samples_per_chip: int = 1, periods: int = 1
 ) -> SampledWaveform:
@@ -216,20 +238,11 @@ def chips_to_waveform(
     Each chip is held for samples_per_chip samples; the result is periods
     identical concatenated periods, sample_rate = samples_per_chip x chip_rate.
     """
-    if int(samples_per_chip) != samples_per_chip or samples_per_chip < 1:
-        raise ConfigError(f"samples_per_chip must be an integer >= 1, got {samples_per_chip}")
-    if int(periods) != periods or periods < 1:
-        raise ConfigError(f"periods must be an integer >= 1, got {periods}")
-    m = int(samples_per_chip)
-    count = len(seq) * m * int(periods)
+    m = _whole_count(samples_per_chip, "samples_per_chip")
+    count = len(seq) * m * _whole_count(periods, "periods")
     # the complex128 samples and the sampler's tiled period are live together
     refuse_beyond_memory(count * 24, f"waveform of {count:.4g} samples")
-    return SampledWaveform(
-        samples=sample_code(seq.bipolar(), 1.0, m, count),  # m samples per chip
-        sample_rate=seq.chip_rate * m,
-        samples_per_chip=m,
-        chips_per_period=len(seq),
-    )
+    return periodic_code(seq.bipolar(), m, count, seq.chip_rate * m)
 
 
 def power_spectrum(w: SampledWaveform, fft_size: int | None = None) -> PowerSpectrum:
@@ -242,9 +255,7 @@ def power_spectrum(w: SampledWaveform, fft_size: int | None = None) -> PowerSpec
     period = w.samples_per_period
     if fft_size is None:
         fft_size = period if period is not None else len(w)
-    fft_size = int(fft_size)
-    if fft_size < 1:
-        raise ConfigError("fft_size must be >= 1")
+    fft_size = _whole_count(fft_size, "fft_size")
     if period is not None and fft_size < period:
         raise InsufficientLength(
             f"fft_size {fft_size} shorter than one period ({period} samples); "
@@ -348,10 +359,11 @@ def inject_jitter(
 
     Offsets are quantized to the sample grid. Edges that would cross after
     jittering are collapsed in order (the squeezed chip loses samples), which
-    keeps the output length exact. rms_jitter = 0 returns the input as-is.
+    keeps the output length exact. rms_jitter = 0 returns the input as-is;
+    any other output states no period, since its chip edges move.
     """
-    if rms_jitter < 0:
-        raise ConfigError("rms_jitter must be >= 0")
+    if not (math.isfinite(rms_jitter) and rms_jitter >= 0):
+        raise ConfigError(f"rms_jitter must be finite and >= 0, got {rms_jitter!r}")
     m = w.samples_per_chip
     if m is None:
         raise ConfigError("waveform carries no chip framing; cannot jitter edges")
@@ -379,9 +391,4 @@ def inject_jitter(
     bounds = np.concatenate(([0], edges, [n]))
     lengths = np.diff(bounds)
     samples = np.repeat(chip_values, lengths)
-    return SampledWaveform(
-        samples=samples,
-        sample_rate=w.sample_rate,
-        samples_per_chip=m,
-        chips_per_period=w.chips_per_period,
-    )
+    return SampledWaveform(samples=samples, sample_rate=w.sample_rate, samples_per_chip=m)

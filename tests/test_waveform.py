@@ -6,11 +6,15 @@ nulls sit at multiples of f. Line positions and spacings are re-derived here
 by direct peak search so the package's own bookkeeping is not trusted.
 """
 
+import dataclasses
+from math import inf, nan
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sounder_sim.channel import ChannelModel, PathSpec, apply_channel
 from sounder_sim.errors import ConfigError, InsufficientLength, JitterTooLarge
 from sounder_sim.pn import ChipSequence, default_config, generate_period
 from sounder_sim.sounder import Mode, SounderConfig, tx_baseband
@@ -58,12 +62,15 @@ class TestChipsToWaveform:
         blocks = w.samples.reshape(-1, 4)
         assert (blocks == blocks[:, :1]).all()
 
-    def test_rejects_bad_oversampling(self):
+    @pytest.mark.parametrize(
+        "m, periods",
+        [(0, 1), (1, 0), (2.5, 1), (1, 1.5), (nan, 1), (inf, 1), (-inf, 1), (2, inf),
+         (2, nan)],
+    )
+    def test_rejects_bad_oversampling(self, m, periods):
         seq = generate_period(default_config(5))
-        with pytest.raises(ConfigError):
-            chips_to_waveform(seq, samples_per_chip=0)
-        with pytest.raises(ConfigError):
-            chips_to_waveform(seq, periods=0)
+        with pytest.raises(ConfigError, match="must be an integer >= 1"):
+            chips_to_waveform(seq, samples_per_chip=m, periods=periods)
 
     @pytest.mark.parametrize("periods", [1, 2, 3])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 49])
@@ -96,11 +103,9 @@ class TestChipsToWaveform:
 class TestFraming:
     @pytest.mark.parametrize("m", [2.5, 2.0, 0, -1])
     def test_only_whole_samples_per_chip(self, m):
-        # at 2.5 samples per chip, 31 chips span 77.5 samples: no whole period
+        # at 2.5 samples per chip, 31 chips would span 77.5 samples
         with pytest.raises(ConfigError, match="samples_per_chip"):
-            SampledWaveform(
-                np.ones(155), sample_rate=2.5e6, samples_per_chip=m, chips_per_period=31
-            )
+            SampledWaveform(np.ones(155), sample_rate=2.5e6, samples_per_chip=m)
 
     @pytest.mark.parametrize("sample_rate", [0.0, -4e6, float("nan"), float("inf")])
     def test_non_positive_or_non_finite_sample_rate_refused(self, sample_rate):
@@ -112,6 +117,62 @@ class TestFraming:
         w = chips_to_waveform(seq11, samples_per_chip=4)
         assert w.chip_rate == w.sample_rate / 4
         assert SampledWaveform(np.ones(4), sample_rate=1e6).chip_rate is None
+
+
+def repeats_bitwise(samples, period):
+    """Whether samples[k] holds the bits of samples[k - period] for every k >= period.
+
+    Bits, not values: 0.0 == -0.0, and a NaN equals nothing.
+    """
+    bits = samples.view(np.dtype((np.uint64, 2)))
+    return np.array_equal(bits[period:], bits[: bits.shape[0] - period])
+
+
+class TestStatedPeriod:
+    """samples_per_period is a guarantee: only the code sampler states it."""
+
+    @pytest.mark.parametrize("stages", [5, 7])
+    @pytest.mark.parametrize("m", [2, 3, 4, 49])
+    @pytest.mark.parametrize("capture_periods", [1, 2.5, 7.2])
+    def test_tx_baseband_at_a_whole_framing_repeats(self, stages, m, capture_periods):
+        pn = default_config(stages)
+        cfg = SounderConfig(
+            pn=pn, alpha=1e6, beta=0.995e6, sample_rate=m * 1e6,
+            capture=capture_periods * pn.length * 1e-6, mode=Mode.TX,
+        )
+        tx = tx_baseband(cfg)
+        assert tx.samples_per_period == pn.length * m
+        assert repeats_bitwise(tx.samples, tx.samples_per_period)
+
+    @pytest.mark.parametrize("periods", [1, 2, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3, 49])
+    def test_chips_to_waveform_repeats(self, m, periods):
+        seq = ChipSequence(chips=np.random.default_rng(m).integers(0, 2, 37, dtype=np.uint8),
+                           chip_rate=0.1)
+        w = chips_to_waveform(seq, m, periods)
+        assert w.samples_per_period == 37 * m
+        assert repeats_bitwise(w.samples, w.samples_per_period)
+
+    def test_outputs_that_do_not_repeat_state_no_period(self, seq11):
+        cfg = SounderConfig(pn=default_config(5), alpha=1e6, beta=0.995e6,
+                            sample_rate=4.3e6, capture=100e-6, mode=Mode.TX)
+        unframed = tx_baseband(cfg)
+        assert unframed.samples_per_chip is None
+        assert unframed.samples_per_period is None
+        w = chips_to_waveform(seq11, 4, periods=2)
+        jittered = inject_jitter(w, 0.05e-9, 3)
+        assert jittered.samples_per_chip == 4 and jittered.samples_per_period is None
+        received = apply_channel(w, ChannelModel(paths=(PathSpec(delay_ns=3.0),)))
+        assert received.samples_per_chip == 4 and received.samples_per_period is None
+        # the same samples, but replace cannot carry a claim it did not check
+        assert dataclasses.replace(w, samples=w.samples).samples_per_period is None
+
+    def test_no_caller_can_state_a_period(self, seq11):
+        w = chips_to_waveform(seq11, 2)
+        with pytest.raises(TypeError):
+            SampledWaveform(w.samples, w.sample_rate, 2, chips_per_period=2047)
+        with pytest.raises(ValueError, match="chips_per_period"):
+            dataclasses.replace(w, chips_per_period=2047)
 
 
 class TestPowerSpectrum:
@@ -174,6 +235,12 @@ class TestPowerSpectrum:
         w = chips_to_waveform(seq11, samples_per_chip=2)
         with pytest.raises(InsufficientLength):
             power_spectrum(w, fft_size=2048)
+
+    @pytest.mark.parametrize("fft_size", [0, -4, 2.5, nan, inf])
+    def test_fft_size_not_a_whole_count_rejected(self, seq11, fft_size):
+        w = chips_to_waveform(seq11, samples_per_chip=1)
+        with pytest.raises(ConfigError, match="fft_size must be an integer >= 1"):
+            power_spectrum(w, fft_size=fft_size)
 
     def test_waveform_shorter_than_fft_rejected(self, seq11):
         w = chips_to_waveform(seq11, samples_per_chip=1)
@@ -303,6 +370,13 @@ class TestJitter:
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
         assert len(a) == len(w)
+
+    @pytest.mark.parametrize("rms_jitter", [-1e-12, nan])
+    def test_negative_or_nan_jitter_refused(self, seq11, rms_jitter):
+        # a NaN offset once cast to int silently flattened every chip edge
+        w = chips_to_waveform(seq11, samples_per_chip=2)
+        with pytest.raises(ConfigError, match="rms_jitter must be finite"):
+            inject_jitter(w, rms_jitter, 1)
 
     def test_half_chip_limit(self, seq11):
         w = chips_to_waveform(seq11, samples_per_chip=2)
