@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DelayExceedsDuration, InvalidSnr
+from .errors import ConfigError, DelayExceedsDuration, InvalidSnr, finite_real, whole_count
 from .waveform import SampledWaveform, block_length, tile_forward
 
 
@@ -54,12 +54,17 @@ def check_keys(section: dict, allowed, where: str) -> None:
 
 
 def strict_int(value) -> int:
-    """A JSON integer: an int or an integral float; never a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected an integer, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    """A JSON integer under the count rule; an integral float such as 4.0 is one."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return whole_count(value, "value", None, TypeError)
+
+
+def strict_float(value) -> float:
+    """A JSON number under the real rule (never a bool), or a numeric string."""
+    if isinstance(value, str):
+        return float(value)
+    return finite_real(value, "value", error=TypeError)
 
 
 def read_value(section: dict, key: str, converter, where: str, default=None):
@@ -78,8 +83,8 @@ def read_value(section: dict, key: str, converter, where: str, default=None):
         raise
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"config: {where}.{key}: {err}") from None
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{where}.{key} must be finite, got {raw!r}")
+    if isinstance(value, float):
+        finite_real(value, f"{where}.{key}")
     return value
 
 
@@ -108,15 +113,11 @@ class PathSpec:
     phase_deg: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.delay_ns) and self.delay_ns >= 0):
-            raise ConfigError(f"path delay must be finite and >= 0, got {self.delay_ns} ns")
-        if not -math.inf < self.gain_db <= _MAX_GAIN_DB:  # also refuses nan
-            raise ConfigError(
-                f"path gain must be finite and <= {_MAX_GAIN_DB:g} dB,"
-                f" got {self.gain_db}"
-            )
-        if not math.isfinite(self.phase_deg):
-            raise ConfigError(f"path phase must be finite, got {self.phase_deg}")
+        if finite_real(self.delay_ns, "path delay") < 0:
+            raise ConfigError(f"path delay must be >= 0, got {self.delay_ns} ns")
+        if finite_real(self.gain_db, "path gain") > _MAX_GAIN_DB:
+            raise ConfigError(f"path gain must be <= {_MAX_GAIN_DB:g} dB, got {self.gain_db}")
+        finite_real(self.phase_deg, "path phase")
 
     @classmethod
     def from_seconds(cls, delay: float, gain_db: float = 0.0, phase: float = 0.0) -> "PathSpec":
@@ -142,7 +143,7 @@ class PathSpec:
         return 10.0 ** (self.gain_db / 20.0) * cmath.exp(1j * self.phase)
 
 
-_PATH = {"delay_ns": float, "gain_db": float, "phase_deg": float}
+_PATH = {"delay_ns": strict_float, "gain_db": strict_float, "phase_deg": strict_float}
 
 
 def _paths(entries) -> tuple[PathSpec, ...]:
@@ -159,7 +160,7 @@ def _paths(entries) -> tuple[PathSpec, ...]:
     return tuple(paths)
 
 
-_CHANNEL = {"paths": _paths, "snr_db": float, "seed": strict_int}
+_CHANNEL = {"paths": _paths, "snr_db": strict_float, "seed": strict_int}
 
 
 @dataclass(frozen=True)
@@ -180,12 +181,9 @@ class ChannelModel:
         paths = tuple(self.paths)
         if not paths:
             raise ConfigError("channel needs at least one path")
-        if self.snr_db is not None and not math.isfinite(self.snr_db):
-            raise InvalidSnr(f"snr_db must be finite or None, got {self.snr_db}")
-        seed = self.rng_seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ConfigError(f"noise seed must be an integer >= 0, got {seed!r}")
-        object.__setattr__(self, "rng_seed", int(seed))
+        if self.snr_db is not None:
+            finite_real(self.snr_db, "snr_db", error=InvalidSnr)
+        object.__setattr__(self, "rng_seed", whole_count(self.rng_seed, "noise seed", 0))
 
         groups: dict[float, list[PathSpec]] = {}
         for p in sorted(paths, key=lambda p: p.delay_ns):

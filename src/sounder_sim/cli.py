@@ -24,7 +24,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__
+from . import __version__, errors
 from .analysis import extract_paths, instrument_metrics
 from .channel import ChannelModel, apply_channel, identity_channel
 from .config import RunManifest, load_config
@@ -52,11 +52,9 @@ def _emit_json(obj, out: str | None) -> None:
 def _resolve_threads(flag: int | None, configured: int | None) -> int:
     """The --threads flag, else the config, else 1; recorded, never branched on."""
     threads = configured if flag is None else flag
-    if threads is None:
-        threads = 1
-    if threads < 1:
-        raise ConfigError(f"thread count must be >= 1, got {threads}")
-    return threads
+    # through the module: perfbench/tracing.py wraps, as a layer's span, every
+    # function this module imports by name
+    return 1 if threads is None else errors.whole_count(threads, "thread count")
 
 
 def cmd_pn_gen(args) -> int:

@@ -14,12 +14,12 @@ anywhere a config file is and reproduces the run it records.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import asdict, dataclass, field, replace
 
-from .channel import ChannelModel, check_keys, read_json_file, read_section, strict_int
-from .errors import ConfigError
+from .channel import (ChannelModel, check_keys, read_json_file, read_section,
+                      strict_float, strict_int)
+from .errors import ConfigError, finite_real
 from .pn import PnConfig, Structure, decode_controls
 from .sounder import Mode, SounderConfig
 
@@ -37,14 +37,8 @@ def _hz(value) -> float:
         m = _RATE_RE.match(value)
         if not m:
             raise ValueError(f'cannot parse {value!r} as a rate (try "999.95 MHz")')
-        rate = float(m.group(1)) * _RATE_SCALE[(m.group(2) or "").lower()]
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        rate = float(value)
-    else:
-        raise TypeError(f"expected a rate, got {value!r}")
-    if not math.isfinite(rate) or rate <= 0:
-        raise ValueError(f"rate must be positive and finite, got {value!r}")
-    return rate
+        value = float(m.group(1)) * _RATE_SCALE[(m.group(2) or "").lower()]
+    return finite_real(value, "rate", positive=True, error=ValueError)
 
 
 def parse_rate(value, name: str = "rate") -> float:
@@ -71,9 +65,9 @@ class SpectrumSpec:
 # those defaults as class attributes, so vars() of the class maps each key to
 # its default.
 _SOUNDER = {"alpha": _hz, "beta": _hz, "sample_rate": _hz, "lpf_cutoff": _hz,
-            "capture": float, "beta_ppm_error": float}
+            "capture": strict_float, "beta_ppm_error": strict_float}
 _EXTRACTION = {"periods": strict_int, "bins_per_chip": strict_int,
-               "floor_db": float, "threads": strict_int}
+               "floor_db": strict_float, "threads": strict_int}
 _SPECTRUM = {"samples_per_chip": strict_int, "periods": strict_int,
              "fft_size": strict_int, "null_count": strict_int, "chip_rate": _hz}
 

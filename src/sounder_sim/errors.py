@@ -1,5 +1,7 @@
-"""Shared exception types, the memory refusal, and the read-only array rule."""
+"""Exception types, the count and real-number rules every argument check uses,
+the memory refusal, and the read-only array rule."""
 
+import math
 import os
 
 import numpy as np
@@ -74,6 +76,35 @@ class NoSyncPeak(SounderSimError):
 
 class EmptyProfile(SounderSimError):
     """Power-delay profile holds no bins."""
+
+
+def whole_count(value, name: str, minimum: int | None = 1, error=ConfigError) -> int:
+    """value as an int: an int or numpy integer of at least minimum (None: any).
+
+    A bool, a float (2.0 too) or a string is refused with error, naming name.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or minimum is not None and value < minimum):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise error(f"{name} must be an integer{at_least}, got {value!r}")
+    return int(value)
+
+
+def finite_real(value, name: str, positive: bool = False, error=ConfigError) -> float:
+    """value as a float: a finite int, float or numpy number, > 0 if positive.
+
+    A bool, a string, any other type or an int past the float range is
+    refused with error, naming name.
+    """
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    try:
+        number = float(value) if real and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int past the float range
+        number = math.inf
+    if not math.isfinite(number) or positive and number <= 0:
+        bound = "positive and " if positive else ""
+        raise error(f"{name} must be {bound}finite, got {value!r}")
+    return number
 
 
 def refuse_beyond_memory(nbytes: float, what: str) -> None:

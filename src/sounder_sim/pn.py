@@ -11,8 +11,6 @@ t and t+1.
 from __future__ import annotations
 
 import enum
-import math
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -24,8 +22,10 @@ from .errors import (
     EmptyTaps,
     NotMaximal,
     TapOutOfRange,
+    finite_real,
     freeze_arrays,
     refuse_beyond_memory,
+    whole_count,
 )
 
 CHIP_STAGES_MIN = 5
@@ -60,8 +60,8 @@ def _parse_code(code: int | str, width: int, name: str) -> int:
             raise ConfigError(f"{name} must be a binary string, got {code!r}")
         value = int(code, 2)
     else:
-        value = operator.index(code)  # an integer type; a float is refused
-    if value < 0 or value >= (1 << width):
+        value = whole_count(code, name, 0)
+    if value >= (1 << width):
         raise ConfigError(f"{name} must fit in {width} bits, got {value}")
     return value
 
@@ -92,9 +92,9 @@ class PnConfig:
     seed: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not 2 <= self.stages <= STAGES_MAX:
+        if not 2 <= whole_count(self.stages, "stages", None) <= STAGES_MAX:
             raise ConfigError(f"stages must be in 2..{STAGES_MAX}, got {self.stages}")
-        taps = tuple(sorted(set(int(t) for t in self.taps), reverse=True))
+        taps = tuple(sorted({whole_count(t, "tap", None) for t in self.taps}, reverse=True))
         if not taps:
             raise EmptyTaps("no feedback taps selected")
         if taps[0] > self.stages or taps[-1] < 1:
@@ -108,7 +108,8 @@ class PnConfig:
             )
         object.__setattr__(self, "taps", taps)
 
-        seed = tuple(int(b) for b in self.seed) if self.seed else (1,) * self.stages
+        seed = (tuple(whole_count(b, "seed bit", None) for b in self.seed)
+                if self.seed else (1,) * self.stages)
         if len(seed) != self.stages or any(b not in (0, 1) for b in seed):
             raise ConfigError(f"seed must be {self.stages} bits of 0/1")
         if not any(seed):
@@ -232,10 +233,7 @@ class ChipSequence:
             raise ConfigError("chips must be a nonempty 1-D bit array")
         if self.chips.max(initial=0) > 1:
             raise ConfigError("chips must be 0/1")
-        if not (math.isfinite(self.chip_rate) and self.chip_rate > 0):
-            raise ConfigError(
-                f"chip_rate must be positive and finite, got {self.chip_rate!r}"
-            )
+        finite_real(self.chip_rate, "chip_rate", positive=True)
 
     def __len__(self) -> int:
         return int(self.chips.size)
@@ -324,7 +322,7 @@ def run_histogram(seq: ChipSequence) -> RunHistogram:
 def periodic_autocorrelation(seq: ChipSequence, lag: int) -> int:
     """Bipolar periodic autocorrelation at one lag: sum_i b[i]*b[(i+lag) mod L]."""
     n = len(seq)
-    if not 0 <= lag < n:
+    if whole_count(lag, "lag", 0) >= n:
         raise ConfigError(f"lag must be in [0, {n}), got {lag}")
     b = seq.bipolar()
     return int(round(float(np.dot(b, np.roll(b, -lag)))))

@@ -34,9 +34,11 @@ from .errors import (
     InvalidRates,
     NoSyncPeak,
     SampleRateMismatch,
+    finite_real,
     freeze_arrays,
     read_only,
     refuse_beyond_memory,
+    whole_count,
 )
 from .channel import ChannelModel
 from .pn import ChipSequence, PnConfig, generate_period
@@ -63,7 +65,9 @@ class Mode(enum.Enum):
 
 def sliding_factor(alpha: float, beta: float) -> float:
     """gamma = alpha / (alpha - beta), the slow-time dilation ratio."""
-    if not (0 < beta < alpha < math.inf):
+    alpha = finite_real(alpha, "alpha", positive=True, error=InvalidRates)
+    beta = finite_real(beta, "beta", positive=True, error=InvalidRates)
+    if not beta < alpha:
         raise InvalidRates(
             f"need finite 0 < beta < alpha, got alpha={alpha!r}, beta={beta!r}"
         )
@@ -93,22 +97,17 @@ class SounderConfig:
 
     def __post_init__(self):
         sliding_factor(self.alpha, self.beta)
-        if not math.isfinite(self.beta_ppm_error):
-            raise ConfigError(
-                f"beta_ppm_error must be finite, got {self.beta_ppm_error!r}"
-            )
+        finite_real(self.beta_ppm_error, "beta_ppm_error")
         if self.sample_rate is None:
             object.__setattr__(self, "sample_rate", 2.0 * self.alpha)
-        if not math.isfinite(self.sample_rate):
-            raise InvalidRates(f"sample_rate must be finite, got {self.sample_rate!r}")
+        finite_real(self.sample_rate, "sample_rate", error=InvalidRates)
         if self.sample_rate < 2 * self.alpha:
             raise InvalidRates(
                 f"sample_rate {self.sample_rate:g} below Nyquist for alpha={self.alpha:g}"
             )
         if self.lpf_cutoff is None:
             object.__setattr__(self, "lpf_cutoff", 2.0 * (self.alpha - self.beta))
-        if not math.isfinite(self.lpf_cutoff):
-            raise InvalidRates(f"lpf_cutoff must be finite, got {self.lpf_cutoff!r}")
+        finite_real(self.lpf_cutoff, "lpf_cutoff", error=InvalidRates)
         if not self.lpf_cutoff > (self.alpha - self.beta):
             raise ConfigError(
                 f"lpf_cutoff {self.lpf_cutoff:g} must exceed alpha-beta ="
@@ -116,10 +115,7 @@ class SounderConfig:
             )
         if self.capture is None:
             object.__setattr__(self, "capture", 5.25 * self.dilated_period)
-        if not (math.isfinite(self.capture) and self.capture > 0):
-            raise ConfigError(
-                f"capture must be positive and finite, got {self.capture}"
-            )
+        finite_real(self.capture, "capture", positive=True)
 
     @property
     def gamma(self) -> float:
@@ -189,11 +185,10 @@ class PdpProfile:
 
     def __post_init__(self):
         freeze_arrays(self, np.float64, "power_linear")
-        if (np.ndim(self.power_linear) != 1 or not 0 < self.alpha < math.inf
-                or self.bins_per_chip < 1):
-            raise ConfigError(
-                "a profile needs 1-D power, finite alpha > 0, bins_per_chip >= 1"
-            )
+        if np.ndim(self.power_linear) != 1:
+            raise ConfigError("a profile needs 1-D power")
+        finite_real(self.alpha, "alpha", positive=True)
+        whole_count(self.bins_per_chip, "bins_per_chip")
 
     @functools.cached_property
     def delays(self) -> np.ndarray:
@@ -425,16 +420,11 @@ def find_sync_peaks(trace: PdpTrace) -> list[int]:
 
 def profile_bins(code_length: int, periods: int, bins_per_chip: int) -> int:
     """Bins of a profile folding periods segments; refuses one that cannot fit."""
-    if periods < 1:
-        raise ConfigError("periods_to_average must be >= 1")
-    if bins_per_chip < 1:
-        raise ConfigError("bins_per_chip must be >= 1")
-    n_bins = code_length * bins_per_chip
-    # float64 per bin: each segment's power twice (list and stack), plus
-    # about eight working arrays for the segment being folded
-    refuse_beyond_memory(
-        n_bins * 8 * (2 * periods + 8), f"profile of {n_bins:.4g} bins"
-    )
+    whole_count(periods, "periods_to_average")
+    n_bins = code_length * whole_count(bins_per_chip, "bins_per_chip")
+    # float64 per bin: the running sum of segment powers, plus about eight
+    # working arrays for the segment being folded
+    refuse_beyond_memory(n_bins * 8 * 9, f"profile of {n_bins:.4g} bins")
     return n_bins
 
 
@@ -479,7 +469,7 @@ def extract_pdp(
     counts = np.bincount(bins, minlength=n_bins).astype(np.float64)
     filled = counts > 0
 
-    seg_powers = []
+    linear = np.zeros(n_bins)
     with np.errstate(over="ignore"):  # a power past float64 is refused below
         for start in usable:
             sum_i = np.bincount(
@@ -490,8 +480,8 @@ def extract_pdp(
             )
             mean_i = np.divide(sum_i, counts, out=np.zeros(n_bins), where=filled)
             mean_q = np.divide(sum_q, counts, out=np.zeros(n_bins), where=filled)
-            seg_powers.append(mean_i**2 + mean_q**2)
-        linear = np.mean(np.stack(seg_powers), axis=0)
+            linear += mean_i**2 + mean_q**2
+    linear /= len(usable)
     peak = float(linear.max())
     if not math.isfinite(peak):
         raise ConfigError(

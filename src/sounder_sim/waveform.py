@@ -9,7 +9,6 @@ bin and the sinc^2 envelope nulls collapse to numerical zero.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,9 +17,11 @@ from .errors import (
     ConfigError,
     InsufficientLength,
     JitterTooLarge,
+    finite_real,
     freeze_arrays,
     read_only,
     refuse_beyond_memory,
+    whole_count,
 )
 from .pn import ChipSequence
 
@@ -145,13 +146,9 @@ class SampledWaveform:
         freeze_arrays(self, np.complex128, "samples")
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ConfigError("samples must be a nonempty 1-D array")
-        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
-            raise ConfigError(
-                f"sample_rate must be positive and finite, got {self.sample_rate!r}"
-            )
-        m = self.samples_per_chip
-        if m is not None and not (isinstance(m, (int, np.integer)) and m >= 1):
-            raise ConfigError(f"samples_per_chip must be an integer >= 1, got {m!r}")
+        finite_real(self.sample_rate, "sample_rate", positive=True)
+        if self.samples_per_chip is not None:
+            whole_count(self.samples_per_chip, "samples_per_chip")
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -191,10 +188,7 @@ class PowerSpectrum:
             raise ConfigError("power_linear must be a nonempty 1-D array")
         if float(self.power_linear.max()) <= 0:
             raise ConfigError("all-zero waveform has no spectrum peak")
-        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
-            raise ConfigError(
-                f"sample_rate must be positive and finite, got {self.sample_rate!r}"
-            )
+        finite_real(self.sample_rate, "sample_rate", positive=True)
 
     @functools.cached_property
     def freqs(self) -> np.ndarray:
@@ -223,13 +217,6 @@ def periodic_code(
     return w
 
 
-def _whole_count(value, name: str) -> int:
-    """value as an int, refused with ConfigError unless a finite whole number >= 1."""
-    if not (math.isfinite(value) and value >= 1 and value == int(value)):
-        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
 def chips_to_waveform(
     seq: ChipSequence, samples_per_chip: int = 1, periods: int = 1
 ) -> SampledWaveform:
@@ -238,8 +225,8 @@ def chips_to_waveform(
     Each chip is held for samples_per_chip samples; the result is periods
     identical concatenated periods, sample_rate = samples_per_chip x chip_rate.
     """
-    m = _whole_count(samples_per_chip, "samples_per_chip")
-    count = len(seq) * m * _whole_count(periods, "periods")
+    m = whole_count(samples_per_chip, "samples_per_chip")
+    count = len(seq) * m * whole_count(periods, "periods")
     # the complex128 samples and the sampler's tiled period are live together
     refuse_beyond_memory(count * 24, f"waveform of {count:.4g} samples")
     return periodic_code(seq.bipolar(), m, count, seq.chip_rate * m)
@@ -255,7 +242,7 @@ def power_spectrum(w: SampledWaveform, fft_size: int | None = None) -> PowerSpec
     period = w.samples_per_period
     if fft_size is None:
         fft_size = period if period is not None else len(w)
-    fft_size = _whole_count(fft_size, "fft_size")
+    fft_size = whole_count(fft_size, "fft_size")
     if period is not None and fft_size < period:
         raise InsufficientLength(
             f"fft_size {fft_size} shorter than one period ({period} samples); "
@@ -318,8 +305,7 @@ def find_spectral_nulls(ps: PowerSpectrum, count: int) -> list[float]:
     Power below NULL_CLIP_DB is clipped first so the depth ranking is not
     decided by numerical noise at the bottom of a null.
     """
-    if count < 1:
-        raise ConfigError(f"null count must be >= 1, got {count}")
+    whole_count(count, "null count")
     if ps.chip_rate is not None:
         span = float(ps.freqs[-1])
         if span < count * ps.chip_rate:
@@ -362,8 +348,9 @@ def inject_jitter(
     keeps the output length exact. rms_jitter = 0 returns the input as-is;
     any other output states no period, since its chip edges move.
     """
-    if not (math.isfinite(rms_jitter) and rms_jitter >= 0):
+    if finite_real(rms_jitter, "rms_jitter") < 0:
         raise ConfigError(f"rms_jitter must be finite and >= 0, got {rms_jitter!r}")
+    whole_count(rng_seed, "rng_seed", 0)
     m = w.samples_per_chip
     if m is None:
         raise ConfigError("waveform carries no chip framing; cannot jitter edges")

@@ -106,15 +106,19 @@ class TestModel:
         with pytest.raises(ConfigError, match="path gain"):
             PathSpec(delay_ns=0.0, gain_db=6200.0)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, np.True_, math.inf, "3", None])
     def test_bad_seed_rejected(self, seed):
         # 1.5 once failed only in the receiver's default_rng, and True was
-        # written to the manifest as "seed": true, which reads back refused
+        # written to the manifest as "seed": true, which reads back refused;
+        # inject_jitter's seed once went to default_rng unchecked the same way
         ch = identity_channel()
         with pytest.raises(ConfigError, match="noise seed must be an integer >= 0"):
             ChannelModel(paths=ch.paths, rng_seed=seed)
         with pytest.raises(ConfigError, match="noise seed must be an integer >= 0"):
             dataclasses.replace(ch, rng_seed=seed)
+        w = chips_to_waveform(generate_period(default_config(5)), 4, 3)
+        with pytest.raises(ConfigError, match="rng_seed must be an integer >= 0"):
+            inject_jitter(w, 1e-8, seed)
 
     def test_numpy_seed_is_kept_as_an_int(self):
         ch = ChannelModel(paths=identity_channel().paths, snr_db=10.0, rng_seed=np.int64(5))
@@ -271,7 +275,7 @@ class TestReader:
 
     @pytest.mark.parametrize("raw", [True, 2.7, "4", [4], 1e999, float("nan")])
     def test_strict_int_refuses_everything_else(self, raw):
-        with pytest.raises(ConfigError, match=r"^config: s\.k: expected an integer"):
+        with pytest.raises(ConfigError, match=r"^config: s\.k: value must be an integer, got "):
             read_value({"k": raw}, "k", strict_int, "s")
 
     def test_section_table_is_the_key_set(self):

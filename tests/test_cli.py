@@ -459,7 +459,7 @@ class TestSpectrumCommand:
         outdir.mkdir()
         assert main(["spectrum", "--config", cfg, "--out", str(outdir / "s.csv")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: null count must be >= 1")
+        assert err.startswith(f"error: null count must be an integer >= 1, got {null_count}\n")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert list(outdir.iterdir()) == []
 
@@ -822,6 +822,36 @@ class TestSoundCommand:
         assert main(["sound", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config: channel.paths[1].gain_db:")
+
+    @pytest.mark.parametrize(
+        "where",
+        ["sounder.alpha", "sounder.beta", "sounder.sample_rate", "sounder.lpf_cutoff",
+         "sounder.capture", "sounder.beta_ppm_error", "extraction.floor_db",
+         "spectrum.chip_rate", "channel.snr_db", "channel.paths[1].delay_ns",
+         "channel.paths[1].gain_db", "channel.paths[1].phase_deg"],
+    )
+    def test_float_key_refuses_a_boolean(self, tmp_path, capsys, where):
+        # JSON true once read as 1.0 for every float key: "snr_db": true was
+        # a 1 dB SNR
+        doc, channel = desk_doc(), channel_doc()
+        section, key = where.split(".", 1)
+        if key.startswith("paths[1]."):
+            channel["paths"][1][key.split(".")[1]] = True
+        elif section == "channel":
+            channel[key] = True
+        else:
+            doc.setdefault(section, {})[key] = True
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        channel = write_json(tmp_path / "channel.json", channel)
+        outdir = tmp_path / "o"
+        code = main(["sound", "--config", cfg, "--channel", channel,
+                     "--out", str(outdir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: config: {where}: ") and err.count("\n") == 1
+        assert not outdir.exists()
+        # a numeric string is still a number
+        assert ChannelModel.from_json_dict(dict(channel_doc(), snr_db="30")).snr_db == 30.0
 
     @pytest.mark.parametrize(
         "paths,snr_db",
