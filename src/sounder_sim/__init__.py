@@ -31,10 +31,7 @@ from .pn import (
     default_config,
     expected_maximal_runs,
     generate_period,
-    measure_period,
-    periodic_autocorrelation,
     run_histogram,
-    step,
     validate_m_sequence,
 )
 from .waveform import (
@@ -115,15 +112,12 @@ __all__ = [
     "inject_jitter",
     "instrument_metrics",
     "load_config",
-    "measure_period",
     "parse_rate",
-    "periodic_autocorrelation",
     "power_spectrum",
     "rms_delay_spread",
     "run_histogram",
     "sliding_correlate",
     "sliding_factor",
-    "step",
     "tx_baseband",
     "validate_m_sequence",
 ]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyProfile
+from .errors import ConfigError, EmptyProfile, finite_real
 from .sounder import PdpProfile, SounderConfig
 from .waveform import plateau_peaks
 
@@ -50,7 +50,7 @@ def extract_paths(pdp: PdpProfile, floor_db: float) -> list[PathEstimate]:
     stronger path or when their power sits within 3 dB of the code's
     -20*log10(L) sidelobe pedestal.
     """
-    if not floor_db < 0:
+    if not finite_real(floor_db, "floor_db") < 0:
         raise ConfigError(f"floor_db must be negative, got {floor_db}")
     power = pdp.power_db
     n = power.size

@@ -11,7 +11,7 @@ t and t+1.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -153,7 +153,6 @@ def decode_controls(
     stage_select: int | str,
     tap_word: int | str,
     structure: Structure = Structure.MSRG,
-    seed: Iterable[int] = (),
 ) -> PnConfig:
     """Decode the 3-bit stage select and 12-bit tap word into a PnConfig.
 
@@ -164,7 +163,7 @@ def decode_controls(
     """
     stages = CHIP_STAGES_MIN + _parse_code(stage_select, 3, "stage_select")
     taps = _word_taps(_parse_code(tap_word, 12, "tap_word"))
-    return PnConfig(stages=stages, structure=structure, taps=taps, seed=tuple(seed))
+    return PnConfig(stages=stages, structure=structure, taps=taps)
 
 
 def default_config(
@@ -179,6 +178,8 @@ def default_config(
 def _register_update(config: PnConfig):
     """The register's clock as advance(state) -> (next state, output chip).
 
+    Stage N is the output. SSRG shifts the XOR of the tapped stages in at
+    stage 1; MSRG XOR-injects the output at each tap adder during the shift.
     States are ints, stage i in bit i-1. The feedback word is formed once
     per code: the SSRG tap word, or the MSRG inject mask, which feeds stage 1
     and the adder between stages t and t+1 for each tap t < N.
@@ -199,24 +200,6 @@ def _register_update(config: PnConfig):
             return ((state << 1) & full) ^ (inject & -out), out
 
     return advance
-
-
-def step(state: Iterable[int], config: PnConfig) -> tuple[tuple[int, ...], int]:
-    """Advance the register one clock; return (next state, output chip).
-
-    State is given in stage order (index 0 = stage 1). MSRG: the last stage's
-    value is the output and is XOR-injected at each tap adder during the
-    shift. SSRG: the XOR of all tapped stages is shifted in at stage 1 and the
-    output is taken from stage N.
-    """
-    bits = tuple(int(b) for b in state)
-    if len(bits) != config.stages:
-        raise ConfigError(f"state must be {config.stages} bits")
-    if not any(bits):
-        raise AllZeroState("all-zero state is absorbing")
-    s = sum(b << i for i, b in enumerate(bits))
-    nxt, out = _register_update(config)(s)
-    return tuple((nxt >> i) & 1 for i in range(config.stages)), out
 
 
 @dataclass(frozen=True)
@@ -246,18 +229,6 @@ class ChipSequence:
         """One line of '0'/'1' characters."""
         return "".join("1" if c else "0" for c in self.chips)
 
-    def to_packed_bytes(self) -> bytes:
-        """Chips packed 8 per byte, MSB first, zero-padded at the tail."""
-        return np.packbits(self.chips).tobytes()
-
-
-def measure_period(config: PnConfig) -> int:
-    """Orbit length of the seed state under the register update."""
-    try:
-        return len(generate_period(config))
-    except NotMaximal as err:
-        return err.period
-
 
 def generate_period(config: PnConfig, chip_rate: float = 1.0) -> ChipSequence:
     """Generate exactly one full period starting from the seed.
@@ -283,17 +254,8 @@ def generate_period(config: PnConfig, chip_rate: float = 1.0) -> ChipSequence:
 class RunHistogram:
     """Cyclic run-length counts, split by the repeated symbol."""
 
-    ones: dict[int, int] = field(default_factory=dict)
-    zeros: dict[int, int] = field(default_factory=dict)
-
-    def total_chips(self) -> int:
-        return sum(k * c for k, c in self.ones.items()) + sum(
-            k * c for k, c in self.zeros.items()
-        )
-
-    def count(self, length: int) -> tuple[int, int]:
-        """(ones_runs, zeros_runs) of the given run length."""
-        return self.ones.get(length, 0), self.zeros.get(length, 0)
+    ones: dict[int, int]
+    zeros: dict[int, int]
 
 
 def run_histogram(seq: ChipSequence) -> RunHistogram:
@@ -317,15 +279,6 @@ def run_histogram(seq: ChipSequence) -> RunHistogram:
         length = int(length)
         target[length] = target.get(length, 0) + 1
     return RunHistogram(ones=ones, zeros=zeros)
-
-
-def periodic_autocorrelation(seq: ChipSequence, lag: int) -> int:
-    """Bipolar periodic autocorrelation at one lag: sum_i b[i]*b[(i+lag) mod L]."""
-    n = len(seq)
-    if whole_count(lag, "lag", 0) >= n:
-        raise ConfigError(f"lag must be in [0, {n}), got {lag}")
-    b = seq.bipolar()
-    return int(round(float(np.dot(b, np.roll(b, -lag)))))
 
 
 def expected_maximal_runs(stages: int) -> RunHistogram:
@@ -367,8 +320,7 @@ def validate_m_sequence(seq: ChipSequence) -> dict:
             violations.append(f"period: {length} != 2^{n_stages}-1 = {expected_len}")
         if ones != 1 << (n_stages - 1):
             violations.append(f"balance: {ones} ones != {1 << (n_stages - 1)}")
-        expected_hist = expected_maximal_runs(n_stages)
-        if (hist.ones, hist.zeros) != (expected_hist.ones, expected_hist.zeros):
+        if hist != expected_maximal_runs(n_stages):
             violations.append("runs: histogram deviates from the maximal-sequence law")
     else:
         if ones != zeros + 1:

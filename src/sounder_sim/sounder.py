@@ -189,6 +189,7 @@ class PdpProfile:
             raise ConfigError("a profile needs 1-D power")
         finite_real(self.alpha, "alpha", positive=True)
         whole_count(self.bins_per_chip, "bins_per_chip")
+        whole_count(self.averaged_over, "averaged_over")
 
     @functools.cached_property
     def delays(self) -> np.ndarray:
@@ -204,9 +205,6 @@ class PdpProfile:
     @property
     def code_length(self) -> int:
         return int(self.power_linear.size // self.bins_per_chip)
-
-    def peak_delay(self) -> float:
-        return float(self.delays[int(np.argmax(self.power_linear))])
 
 
 @functools.lru_cache(maxsize=32)
@@ -382,7 +380,7 @@ def find_sync_peaks(trace: PdpTrace) -> list[int]:
     sync = trace.sync
     n = sync.size
     period = trace.config.dilated_period * trace.config.slow_rate
-    if n < 1 or period <= 0:
+    if n < 1:
         raise NoSyncPeak("empty sync trace")
     median_power = float(np.median(sync**2))
     threshold = 4.0 * median_power  # 6 dB in power
@@ -447,7 +445,7 @@ def extract_pdp(
     n = len(trace)
     period = cfg.dilated_period * cfg.slow_rate
     seg_len = int(math.floor(period + 1e-9))
-    if seg_len < 1 or n < seg_len:
+    if n < seg_len:
         raise CaptureTooShort(
             f"trace holds {n} slow samples, one dilated period needs {seg_len}"
         )

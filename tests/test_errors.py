@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from sounder_sim.analysis import extract_paths
 from sounder_sim.channel import ChannelModel, PathSpec
 from sounder_sim.cli import _resolve_threads
 from sounder_sim.config import parse_rate
@@ -26,7 +27,6 @@ from sounder_sim.pn import (
     PnConfig,
     decode_controls,
     default_config,
-    periodic_autocorrelation,
 )
 from sounder_sim.sounder import (
     PdpProfile,
@@ -53,6 +53,8 @@ TRACE = PdpTrace(
     config=SounderConfig(pn=PN, alpha=1e6, beta=0.99e6),
 )
 
+PROFILE = PdpProfile(np.array([1.0, 0.1, 0.5, 0.1, 0.2]), 1e6, 1, 1)
+
 NOT_COUNTS = [True, np.True_, 1.5, 2.0, math.nan, math.inf, "3"]
 NOT_REALS = [True, np.True_, math.nan, math.inf, -math.inf, "1e6", [1.0], 1j, 10**400]
 
@@ -65,12 +67,12 @@ COUNT_SITES = [
     ("SampledWaveform.samples_per_chip",
      lambda v: SampledWaveform(np.ones(4), 1e6, samples_per_chip=v), ConfigError),
     ("PdpProfile.bins_per_chip", lambda v: PdpProfile(np.ones(5), 1e6, v, 1), ConfigError),
+    ("PdpProfile.averaged_over", lambda v: PdpProfile(np.ones(5), 1e6, 1, v), ConfigError),
     ("PnConfig.stages", lambda v: PnConfig(stages=v, taps=(5, 3)), ConfigError),
     ("PnConfig.taps", lambda v: PnConfig(stages=5, taps=(5, v)), ConfigError),
     ("PnConfig.seed", lambda v: PnConfig(stages=5, taps=(5, 3), seed=(v, 1, 1, 1, 1)),
      ConfigError),
     ("decode_controls.stage_select", lambda v: decode_controls(v, 0b10100), ConfigError),
-    ("periodic_autocorrelation.lag", lambda v: periodic_autocorrelation(SEQ, v), ConfigError),
     ("find_spectral_nulls.count", lambda v: find_spectral_nulls(power_spectrum(WAVE), v),
      ConfigError),
     ("profile_bins.periods", lambda v: profile_bins(31, v, 1), ConfigError),
@@ -104,6 +106,7 @@ REAL_SITES = [
     ("ChannelModel.snr_db",
      lambda v: ChannelModel(paths=(PathSpec(delay_ns=0.0),), snr_db=v), InvalidSnr),
     ("inject_jitter.rms_jitter", lambda v: inject_jitter(WAVE, v, 1), ConfigError),
+    ("extract_paths.floor_db", lambda v: extract_paths(PROFILE, v), ConfigError),
 ]
 
 

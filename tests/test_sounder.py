@@ -866,7 +866,7 @@ class TestPdpProfile:
         "field,value",
         [("power_linear", np.ones((2, 2))), ("power_linear", None),
          ("alpha", 0.0), ("alpha", math.nan), ("alpha", math.inf),
-         ("bins_per_chip", 0)],
+         ("bins_per_chip", 0), ("averaged_over", 0)],
     )
     def test_malformed_grid_rejected(self, field, value):
         fields = dict(power_linear=np.ones(4), alpha=1e6, bins_per_chip=1, averaged_over=1)
