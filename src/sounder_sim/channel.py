@@ -5,13 +5,14 @@ copies superpose. A path holds the channel document's own numbers (delay in
 ns, gain in dB, phase in degrees), so a channel written with to_json_dict
 reads back with every complex gain bit for bit. Delays are quantized to the
 nearest sample; test fixtures keep them on the sample grid so quantization
-never moves a path by more than half a sample. An input that states its
-period repeats bit for bit, so its output repeats from the last path's
-arrival on: apply_channel sums the paths only up to one period past it
-and tiles the rest (waveform.tile_forward). The noise is complex circular Gaussian with
-variance set by snr_db relative to the strongest path's received power for
-a unit-power input (noise_std). apply_channel adds none: the receiver draws
-it, per decimation window (see sliding_correlate).
+never moves a path by more than half a sample. An input that states it
+repeats bit for bit, so its output repeats from the last path's arrival
+on: apply_channel sums the paths only up to one period past it, tiles the
+rest (waveform.tile_forward) and states that repeat. The noise is complex
+circular Gaussian with variance set by snr_db relative to the strongest
+path's received power for a unit-power input (noise_std). apply_channel
+adds none: the receiver draws it, per decimation window (see
+sliding_correlate).
 """
 
 from __future__ import annotations
@@ -266,15 +267,16 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
     Paths are added block by block into the one output array. The channel's
     noise is left to the receiver (sliding_correlate).
 
-    An input that states a period P (samples_per_period: every
-    chips_to_waveform output and every tx_baseband output at a whole
-    fs/alpha) repeats bit for bit every P samples, so it is summed path by
-    path only up to last + P, where last is the largest path shift. From
-    last on, each output sample takes the same operations on the same bits
-    as the sample P before it, so the rest is copies of out[last:last + P]
+    An input that states it repeats with period P from sample s (repeats:
+    every chips_to_waveform output and every tx_baseband output at a whole
+    fs/alpha, from s = 0) is summed path by path only up to s + last + P,
+    where last is the largest path shift. From s + last on, each output
+    sample takes the same operations on the same bits as the sample P
+    before it, so the rest is copies of out[s + last:s + last + P]
     (tile_forward), the same bytes at one copy's cost whatever the path
-    count. Any other input is summed path by path throughout. The output,
-    zero-filled at its head, states no period.
+    count, and the output states repeats = (s + last, P). Any other input
+    is summed path by path throughout and states nothing. The output,
+    zero-filled at its head, states no period (samples_per_period).
     """
     n = len(w)
     shifted_gains = []
@@ -288,9 +290,12 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
             shifted_gains.append((shift, p.complex_gain))
 
     block = block_length()
-    period = w.samples_per_period
     last = max((shift for shift, _ in shifted_gains), default=0)
-    summed = last + period if period is not None and last + period < n else n
+    summed = n
+    if w.repeats is not None:
+        first, period = w.repeats
+        first += last
+        summed = min(first + period, n)
     out = np.zeros(n, dtype=np.complex128)
     scratch = np.empty(min(block, summed), dtype=np.complex128)
     for start in range(0, summed, block):
@@ -303,7 +308,9 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
                 # differ in the last bit when the operands are swapped
                 np.multiply(gain, w.samples[lo - shift : stop - shift], out=copy)
                 out[lo:stop] += copy
-    if summed < n:
-        tile_forward(out, last, period)
-
-    return SampledWaveform(out, w.sample_rate, w.samples_per_chip)
+    if summed == n:
+        return SampledWaveform(out, w.sample_rate, w.samples_per_chip)
+    tile_forward(out, first, period)
+    received = SampledWaveform(out, w.sample_rate, w.samples_per_chip)
+    object.__setattr__(received, "repeats", (first, period))
+    return received

@@ -17,6 +17,15 @@ code is generated by sample-indexed chip lookup (waveform.code_source):
 sample n of a code clocked at rate carries chip floor(n * (rate/fs)) mod L,
 exactly n // m at a whole m samples per chip, else with the product
 evaluated in float64, so the slip is exact and no resampling error enters.
+
+At a whole gamma and a whole m = fs/alpha, with no RX clock error, both
+codes realign every Pd = L*gamma*m samples, and the RX code at sample n is
+defined as the code at n mod Pd, as the hardware's counters wrap: float
+truncation alone does not promise that trunc(n * fl(beta/fs)) repeats.
+Against a static channel every mixer product then repeats every Pd samples
+from the received signal's repeat start on, so the correlator multiplies
+one dilated period past that start and copies its window sums over the
+rest of the capture (slow-time tiling, see sliding_correlate).
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ from .waveform import (
     periodic_code,
     ratio_to_db,
     sample_code,
+    tile_forward,
 )
 
 # The TX and received complex128 arrays are the only whole-capture arrays
@@ -112,6 +122,12 @@ class SounderConfig:
             raise ConfigError(
                 f"lpf_cutoff {self.lpf_cutoff:g} must exceed alpha-beta ="
                 f" {self.alpha - self.beta:g} or the correlation envelope is lost"
+            )
+        # the sync search, the fold and the slow-time tiling count it
+        if not math.isfinite(self.dilated_period * self.sample_rate):
+            raise ConfigError(
+                f"one dilated period ({self.dilated_period:g} s) at sample_rate"
+                f" {self.sample_rate:g} holds more samples than float64 can count"
             )
         if self.capture is None:
             object.__setattr__(self, "capture", 5.25 * self.dilated_period)
@@ -245,6 +261,63 @@ def _window_noise_factor(weights: np.ndarray) -> np.ndarray:
                      [below, math.sqrt(max(cov[1, 1] - below * below, 0.0))]])
 
 
+def _dilated_samples(cfg: SounderConfig) -> int | None:
+    """Pd = L*gamma*m, when both codes realign every Pd samples; else None.
+
+    That needs a whole gamma, a whole m = fs/alpha and no RX clock error:
+    the TX code then repeats every L*m samples, and Pd samples hold
+    L*(gamma - 1) whole RX chips. The correlator reads the RX code at sample
+    n mod Pd (_wrapped), so it repeats every Pd samples bit for bit.
+    """
+    gamma, m = cfg.gamma, cfg.sample_rate / cfg.alpha
+    if cfg.beta_ppm_error != 0 or not gamma.is_integer() or not m.is_integer():
+        return None
+    return cfg.pn.length * int(gamma) * int(m)
+
+
+def _wrapped(code, period: int):
+    """code(start, count) read at sample n mod period, for any start.
+
+    A call that crosses a multiple of period joins the pieces on each side,
+    so code itself is only asked for samples below period.
+    """
+
+    def wrapped(start: int, count: int) -> np.ndarray:
+        start %= period
+        if start + count <= period:
+            return code(start, count)
+        pieces = []
+        while count:
+            take = min(count, period - start)
+            pieces.append(code(start, take))
+            start, count = 0, count - take
+        return np.concatenate(pieces)
+
+    return wrapped
+
+
+def _window_repeat(
+    received: SampledWaveform, dilated: int | None, dec: int, windows: int
+) -> tuple[int, int] | None:
+    """(first, period) in windows, when the window sums repeat and some remain.
+
+    The products repeat every dilated samples from the received signal's
+    repeat start on when both codes do (dilated, from _dilated_samples) and
+    the signal's period divides dilated. When dilated is also a whole number
+    of windows, every window sum from first + period on equals the one
+    period windows before it, first being the first window past the repeat
+    start. None when any of that fails, or when the capture ends before
+    first + period windows, so there is nothing to copy.
+    """
+    if dilated is None or received.repeats is None or dilated % dec:
+        return None
+    start, period = received.repeats
+    if dilated % period:
+        return None
+    first = -(-start // dec)
+    return (first, dilated // dec) if first + dilated // dec < windows else None
+
+
 def _capture_samples(cfg: SounderConfig) -> int:
     """Samples in cfg.capture, refused before allocation if they cannot fit."""
     samples = cfg.capture * cfg.sample_rate
@@ -309,6 +382,22 @@ def sliding_correlate(
     normals per window per arm, in window order, so block size cannot
     change them. The sync row, the local TX code times the RX code, carries
     no noise; the channel's paths are apply_channel's.
+
+    Slow-time tiling. When _dilated_samples gives Pd (a whole gamma and
+    fs/alpha, no RX clock error), the RX code at sample n is the code at
+    n mod Pd, on every route. If the received signal also states that it
+    repeats (received.repeats, from sample s with a period dividing Pd) and
+    Pd is a whole number D of windows, every product from sample s on
+    repeats every Pd samples, so the window sums repeat every D windows
+    from window ceil(s/dec) on. The block loop then stops after window
+    ceil(s/dec) + D, and tile_forward copies those D windows' sums over the
+    rest: einsum summed each window in one order, so the copies carry the
+    same bits. The noise, the filter recurrence and the sync row run after
+    the loop, on every window, as before. Otherwise (an RX clock error, a
+    fractional gamma or fs/alpha, Pd not a whole number of windows, a
+    period not dividing Pd, an input that states no repeat, or a capture
+    shorter than the head plus one period) the loop multiplies every whole
+    window.
     """
     if cfg.mode is not Mode.RX:
         raise ConfigError("sliding_correlate needs a config with mode=RX")
@@ -330,12 +419,16 @@ def sliding_correlate(
     fs = cfg.sample_rate
     dec = cfg.decimation
     weights, carry, pole_d = _window_weights(2.0 * math.pi * cfg.lpf_cutoff / fs, dec)
-    windows = n_total // dec
-    used = windows * dec  # a trailing partial window is never multiplied
-    block = min(block_length(dec), used)
+    windows = n_total // dec  # a trailing partial window is never multiplied
+    dilated = _dilated_samples(cfg)
+    repeat = _window_repeat(received, dilated, dec, windows)
+    multiplied = dec * (windows if repeat is None else sum(repeat))
+    block = min(block_length(dec), multiplied)
     table = _bipolar_table(cfg.pn)
-    rx_code = code_source(table, cfg.beta_effective, fs, block, used)
-    tx_code = code_source(table, cfg.alpha, fs, block, used)
+    rx_code = code_source(table, cfg.beta_effective, fs, block, multiplied)
+    if dilated is not None:
+        rx_code = _wrapped(rx_code, dilated)
+    tx_code = code_source(table, cfg.alpha, fs, block, multiplied)
 
     # rows: I product, Q product, sync product (local TX code times RX code);
     # the RX code is staged in the sync row so no fourth block is live. The
@@ -343,8 +436,8 @@ def sliding_correlate(
     # contiguous and reshape into windows without a copy.
     products = np.empty(3 * block)
     sums = np.empty((2, 3, windows))  # per window: sum A_k x_k, then sum B_k x_k
-    for start in range(0, used, block):
-        count = min(block, used - start)
+    for start in range(0, multiplied, block):
+        count = min(block, multiplied - start)
         x = received.samples[start : start + count]
         rows = products[: 3 * count].reshape(3, count)
         rows[2] = rx_code(start, count)
@@ -355,6 +448,8 @@ def sliding_correlate(
         sums[:, :, first : first + count // dec] = np.einsum(
             "wk,jk->jw", rows.reshape(-1, dec), weights
         ).reshape(2, 3, -1)
+    if repeat is not None:
+        tile_forward(sums, *repeat)
     if noise_std is not None:
         normals = np.random.default_rng(channel.rng_seed).standard_normal((2, 2, windows))
         factor = noise_std * _window_noise_factor(weights)

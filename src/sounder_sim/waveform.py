@@ -47,16 +47,19 @@ def block_length(multiple: int = 1) -> int:
 
 
 def tile_forward(array: np.ndarray, start: int, period: int) -> None:
-    """Repeat array[start:start + period] over the rest of array, in place.
+    """Repeat array[..., start:start + period] over the rest of array, in place.
 
     Each copy doubles the repeated span, which stays a whole number of
-    periods, so every copy lands in phase: afterwards array[k] is
-    array[k - period] for every k >= start + period.
+    periods, so every copy lands in phase: afterwards array[..., k] is
+    array[..., k - period] for every k >= start + period. The last axis is
+    tiled, every row of it alike.
     """
-    filled, size = period, array.size - start
+    filled, size = period, array.shape[-1] - start
     while filled < size:
         copied = min(filled, size - filled)
-        array[start + filled : start + filled + copied] = array[start : start + copied]
+        array[..., start + filled : start + filled + copied] = array[
+            ..., start : start + copied
+        ]
         filled += copied
 
 
@@ -135,12 +138,19 @@ class SampledWaveform:
     only by periodic_code, never by the constructor or replace (which
     resets it), so ``samples_per_period`` is None unless the samples repeat
     bit for bit every samples_per_period samples.
+
+    ``repeats`` is a pair (start, period): samples[k] holds the bits of
+    samples[k - period] for every k >= start + period. Only the code that
+    makes the samples that way sets it, periodic_code (from 0) and
+    apply_channel's tiled route (from the last path's arrival), and replace
+    resets it too; None states nothing.
     """
 
     samples: np.ndarray
     sample_rate: float
     samples_per_chip: int | None = None
     chips_per_period: int | None = field(default=None, init=False)
+    repeats: tuple[int, int] | None = field(default=None, init=False)
 
     def __post_init__(self):
         freeze_arrays(self, np.complex128, "samples")
@@ -210,10 +220,12 @@ def periodic_code(
     """count samples of the code table at a whole m samples per chip.
 
     Sample n carries chip (n // m) mod L, so the samples repeat bit for bit
-    every L * m samples; this is the one place that states that period.
+    every L * m samples from sample 0; this is the one place that states
+    that period.
     """
     w = SampledWaveform(sample_code(table, 1.0, m, count), sample_rate, m)
     object.__setattr__(w, "chips_per_period", table.size)
+    object.__setattr__(w, "repeats", (0, table.size * m))
     return w
 
 

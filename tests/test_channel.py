@@ -450,6 +450,7 @@ class TestTiledRoute:
         quiet = dataclasses.replace(ch, snr_db=None)
         assert out.samples.tobytes() == reference_apply_channel(w, quiet).tobytes()
         assert tilings == [(max(shifts), period)]
+        assert out.repeats == (max(shifts), period) and out.samples_per_period is None
 
     @pytest.fixture(params=["jittered", "changed-last-block", "negative-zero"])
     def non_repeating(self, request):
@@ -479,7 +480,7 @@ class TestTiledRoute:
         out = apply_channel(w, ch)
         quiet = dataclasses.replace(ch, snr_db=None)
         assert out.samples.tobytes() == reference_apply_channel(w, quiet).tobytes()
-        assert tilings == []
+        assert tilings == [] and out.repeats is None
 
     def test_period_past_the_end_sums_every_path(self, tilings, pn_wave):
         # two periods, and the last path arrives after the first: no whole
@@ -487,7 +488,7 @@ class TestTiledRoute:
         ch = ChannelModel(paths=(PathSpec(delay_ns=0.0), PathSpec(delay_ns=600.0)))
         out = apply_channel(pn_wave, ch)
         assert out.samples.tobytes() == reference_apply_channel(pn_wave, ch).tobytes()
-        assert tilings == []
+        assert tilings == [] and out.repeats is None
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -514,3 +515,22 @@ class TestTiledRoute:
             patch.setattr(waveform_mod, "BLOCK", block)
             out = apply_channel(w, ch)
         assert out.samples.tobytes() == reference_apply_channel(w, ch).tobytes()
+        if out.repeats is not None:
+            start, period = out.repeats
+            bits = out.samples[start:].view(np.dtype((np.uint64, 2)))
+            assert np.array_equal(bits[period:], bits[: bits.shape[0] - period])
+
+    def test_output_that_repeats_tiles_again_from_its_own_start(self, tilings):
+        # a second channel on a tiled output: the repeat starts at the sum
+        # of the two channels' last shifts, and the bytes are the per-path sum
+        seq = generate_period(default_config(7), chip_rate=1e6)
+        w = chips_to_waveform(seq, 3, periods=9)
+        first = ChannelModel(paths=(PathSpec(delay_ns=0.0),
+                                    PathSpec(delay_ns=14000.0, gain_db=-3.0)))
+        second = ChannelModel(paths=(PathSpec(delay_ns=0.0, phase_deg=40.0),
+                                     PathSpec(delay_ns=100000.0, gain_db=-5.0)))
+        once = apply_channel(w, first)
+        twice = apply_channel(once, second)
+        assert once.repeats == (42, 381) and twice.repeats == (342, 381)
+        assert tilings == [(42, 381), (342, 381)]
+        assert twice.samples.tobytes() == reference_apply_channel(once, second).tobytes()

@@ -39,7 +39,13 @@ from sounder_sim.sounder import (
     sliding_factor,
     tx_baseband,
 )
-from sounder_sim.waveform import SampledWaveform, power_spectrum, ratio_to_db
+from sounder_sim.waveform import (
+    SampledWaveform,
+    chips_to_waveform,
+    inject_jitter,
+    power_spectrum,
+    ratio_to_db,
+)
 from test_channel import reference_apply_channel
 
 PN9 = default_config(9)
@@ -114,6 +120,29 @@ def trace_rows(trace):
     return np.stack([trace.i_out, trace.q_out, trace.sync])
 
 
+def same_bits(a, b):
+    """The two traces' I, Q and sync rows are equal as uint64 words."""
+    return np.array_equal(trace_rows(a).view(np.uint64), trace_rows(b).view(np.uint64))
+
+
+def spy_on_tilings(patch):
+    """The (start, period) of every tile_forward call sliding_correlate makes
+    while patch is active."""
+    calls = []
+
+    def spy(array, start, period):
+        calls.append((start, period))
+        waveform_mod.tile_forward(array, start, period)
+
+    patch.setattr(sounder_mod, "tile_forward", spy)
+    return calls
+
+
+@pytest.fixture()
+def slow_tilings(monkeypatch):
+    return spy_on_tilings(monkeypatch)
+
+
 def desk_config(**overrides):
     base = dict(pn=PN9, alpha=1e6, beta=0.995e6, sample_rate=4e6, mode=Mode.TX)
     base.update(overrides)
@@ -186,6 +215,13 @@ class TestConfig:
     def test_non_finite_rate_rejected(self, field, value):
         with pytest.raises(InvalidRates):
             desk_config(**{field: value})
+
+    def test_dilated_period_beyond_float64_samples_refused(self):
+        # 6.2e301 s at 1e10 samples/s: the sync search's and the fold's
+        # sample counts would be infinite
+        with pytest.raises(ConfigError, match="dilated period"):
+            SounderConfig(pn=default_config(5), alpha=1e-300, beta=0.5e-300,
+                          sample_rate=1e10, lpf_cutoff=1e10, capture=1e-3)
 
     def test_beta_ppm_error(self):
         cfg = desk_config(beta_ppm_error=10.0)
@@ -358,9 +394,11 @@ class TestCodeSource:
 def rx_code(cfg, span):
     """The correlator's RX code source for cfg, as sliding_correlate builds it."""
     table = sounder_mod._bipolar_table(cfg.pn)
-    return waveform_mod.code_source(
+    code = waveform_mod.code_source(
         table, cfg.beta_effective, cfg.sample_rate, span, span
     )
+    dilated = sounder_mod._dilated_samples(cfg)
+    return code if dilated is None else sounder_mod._wrapped(code, dilated)
 
 
 class TestRxCode:
@@ -377,6 +415,49 @@ class TestRxCode:
         shifted = np.rint((chips + 511) * samples_per_chip).astype(np.int64)
         code = rx_code(cfg, shifted[-1] + 1)(0, shifted[-1] + 1)
         assert np.array_equal(code[centers], code[shifted])
+
+    @pytest.mark.parametrize(
+        "pn,alpha,beta,sample_rate",
+        [
+            (PN9, 1e6, 0.995e6, 4e6),  # the README desk
+            (default_config(11), 1e6, 0.995e6, 4e6),  # desk-n11
+            (default_config(6), 1e9, 999.95e6, 2e9),  # paper-gamma
+            (default_config(7), 1e6, 0.995e6, 2e6),  # code-sweep
+            (PN9, 2e6, 1e6, 4e6),  # 4 samples per RX chip: the tiled copy
+        ],
+    )
+    def test_repeats_every_dilated_period(self, pn, alpha, beta, sample_rate):
+        # at a whole gamma and fs/alpha the code at n is the code at
+        # n mod Pd; on these configs that is the float formula's code too,
+        # so their bytes did not change
+        cfg = SounderConfig(pn=pn, alpha=alpha, beta=beta, sample_rate=sample_rate)
+        dilated = sounder_mod._dilated_samples(cfg)
+        assert dilated == round(cfg.dilated_period * sample_rate)
+        total, span = 3 * dilated + 12345, 1 << 16
+        code = rx_code(cfg, span)
+        samples = np.concatenate(
+            [code(s, min(span, total - s)) for s in range(0, total, span)]
+        )
+        words = samples.view(np.uint64)
+        assert np.array_equal(words[dilated:], words[:-dilated])
+        table = generate_period(pn).bipolar()
+        formula = per_sample_code(table, 0, total, cfg.beta_effective / sample_rate)
+        assert samples.tobytes() == formula.tobytes()
+
+    def test_float_code_that_slips_is_read_modulo_the_dilated_period(self):
+        # gamma 10 at 7 samples per TX chip: 9/70 chips per RX sample, and
+        # fl(9/70) < 9/70, so the float formula reads chip 63 one sample
+        # late at n = 490 = Pd, and again later; modulo Pd it cannot slip
+        pn = PnConfig(stages=3, taps=(3, 2))
+        cfg = SounderConfig(pn=pn, alpha=10e3, beta=9e3, sample_rate=70e3)
+        assert sounder_mod._dilated_samples(cfg) == 490
+        total = 3 * 490
+        samples = rx_code(cfg, total)(0, total)
+        table = generate_period(pn).bipolar()
+        formula = per_sample_code(table, 0, total, 9e3 / 70e3)
+        assert np.flatnonzero(samples != formula).tolist() == [770, 1260]
+        n = np.arange(total)
+        assert samples.tobytes() == table[(n % 490 * (9e3 / 70e3)).astype(int) % 7].tobytes()
 
     def test_one_code_period_slips_per_dilated_period(self, desk):
         cfg, _, _ = desk
@@ -408,7 +489,7 @@ class TestSlidingCorrelate:
         with pytest.raises(CaptureTooShort):
             sliding_correlate(short, rx_cfg)
 
-    def test_block_size_does_not_change_results(self, desk, monkeypatch):
+    def test_block_size_does_not_change_results(self, desk, monkeypatch, slow_tilings):
         cfg, _, rx_cfg = desk
         short = dataclasses.replace(cfg, capture=900000 / 4e6)
         noisy = ChannelModel(
@@ -434,9 +515,12 @@ class TestSlidingCorrelate:
         assert np.array_equal(full[2].i_out, chunked[2].i_out)
         assert np.array_equal(full[2].q_out, chunked[2].q_out)
         assert np.array_equal(full[2].sync, chunked[2].sync)
+        # both runs multiplied the head and one dilated period, then tiled:
+        # the 7 us path arrives 28 samples in, so from window 1 on
+        assert slow_tilings == [(1, 8176)] * 2
 
     def test_block_size_does_not_change_tiled_periods_beyond_the_block(
-        self, monkeypatch
+        self, monkeypatch, slow_tilings
     ):
         # 64 samples per chip: the TX code repeats every 511 << 6 = 32704
         # samples, longer than a default block and shorter than the other
@@ -461,6 +545,9 @@ class TestSlidingCorrelate:
             generate_period(PN9).bipolar(), 0, len(sent), 2.0**-6
         ).tobytes()
         assert trace_rows(trace).tobytes() == trace_rows(trace_77777).tobytes()
+        # gamma 10: Pd = 511 * 10 * 64 samples, 8176 windows of 40, tiled
+        # from the first window past the 3 us path's 192 samples
+        assert slow_tilings == [(5, 8176)] * 2
 
     @pytest.mark.parametrize(
         "cfg,dec",
@@ -486,6 +573,35 @@ class TestSlidingCorrelate:
         assert len(received) > 2 * waveform_mod.block_length(dec)  # several blocks
         assert len(whole) == len(blocked) == len(received) // dec
         assert trace_rows(whole).tobytes() == trace_rows(blocked).tobytes()
+
+    @pytest.mark.parametrize(
+        "cfg,dec",
+        [
+            (SounderConfig(pn=default_config(5), alpha=1e9, beta=999.95e6,
+                           capture=1.7 * 31 * 20000 / 1e9), 2500),
+            (SounderConfig(pn=PN9, alpha=1e6, beta=0.995e6, sample_rate=4e6,
+                           lpf_cutoff=1e6, capture=0.15), 1),
+            (SounderConfig(pn=PnConfig(stages=3, taps=(3, 2)), alpha=1e9,
+                           beta=999.98e6, lpf_cutoff=25e3,
+                           capture=1.7 * 7 * 50000 / 1e9), 10000),
+        ],
+    )
+    def test_block_size_does_not_change_tiled_windows(
+        self, cfg, dec, monkeypatch, slow_tilings
+    ):
+        # the same decimations as above, on received signals that repeat:
+        # the loop stops one dilated period past the last path, whatever
+        # the block, and the copies carry the full loop's bits
+        received, rx_cfg = sounded(cfg)
+        assert rx_cfg.decimation == dec
+        whole = sliding_correlate(received, rx_cfg)
+        monkeypatch.setattr(waveform_mod, "BLOCK", 77777)
+        blocked = sliding_correlate(received, rx_cfg)
+        assert len(slow_tilings) == 2 and slow_tilings[0] == slow_tilings[1]
+        first, period = slow_tilings[0]
+        assert (first + period) * dec > 2 * waveform_mod.block_length(dec)  # several blocks
+        assert same_bits(whole, blocked)
+        assert same_bits(whole, sliding_correlate(unstated(received), rx_cfg))
 
     @pytest.mark.parametrize(
         "lpf_cutoff,alpha,beta,sample_rate,pn,dec",
@@ -603,6 +719,184 @@ class TestSlidingCorrelate:
         )
         assert occupied <= 2.0 * cfg.lpf_cutoff
         assert occupied < cfg.alpha / 1000.0  # versus the chip-rate-wide input
+
+
+TWO_PATHS = ChannelModel(paths=(
+    PathSpec(delay_ns=0.0),
+    PathSpec(delay_ns=3000.0, gain_db=-6.0, phase_deg=57.0),
+))
+
+
+def sounded(cfg, channel=TWO_PATHS):
+    """cfg's TX waveform through channel, and cfg as a receive config."""
+    sent = tx_baseband(dataclasses.replace(cfg, mode=Mode.TX))
+    return apply_channel(sent, channel), dataclasses.replace(cfg, mode=Mode.RX)
+
+
+def unstated(w):
+    """The same samples, stating no repeat: the correlator's full loop."""
+    return dataclasses.replace(w, samples=w.samples)
+
+
+class TestSlowTiling:
+    """sliding_correlate copies the window sums after one dilated period
+    exactly when every product is known to repeat, and only then."""
+
+    @pytest.mark.parametrize(
+        "cfg,channel",
+        [
+            (desk_config(capture=0.25), dataclasses.replace(TWO_PATHS, snr_db=20.0)),
+            # gamma 20000, decimation 2500, six phased paths
+            (SounderConfig(pn=default_config(6), alpha=1e9, beta=999.95e6,
+                           capture=2.3 * 63 * 20000 / 1e9),
+             ChannelModel(paths=tuple(
+                 PathSpec(delay_ns=d, gain_db=-2.5 * i, phase_deg=41.0 * i)
+                 for i, d in enumerate((0.0, 5.0, 11.0, 18.0, 26.0, 33.0))))),
+            # fs / beta = 4: the RX code is a tiled copy, Pd = 2044 windows
+            (SounderConfig(pn=PN9, alpha=2e6, beta=1e6, sample_rate=4e6,
+                           capture=3.3 * 511 * 2 / 2e6), TWO_PATHS),
+        ],
+        ids=["desk-noisy", "paper-gamma", "whole-rx-framing"],
+    )
+    def test_tiles_one_dilated_period_past_the_last_path(self, slow_tilings, cfg, channel):
+        received, rx_cfg = sounded(cfg, channel)
+        dec = rx_cfg.decimation
+        dilated = sounder_mod._dilated_samples(rx_cfg)
+        first = -(-received.repeats[0] // dec)
+        tiled = sliding_correlate(received, rx_cfg, channel)
+        assert slow_tilings == [(first, dilated // dec)]
+        assert same_bits(tiled, sliding_correlate(unstated(received), rx_cfg, channel))
+        assert len(slow_tilings) == 1
+
+    def test_tx_code_itself_tiles_from_window_zero(self, slow_tilings):
+        cfg = desk_config(capture=0.25)
+        sent = tx_baseband(cfg)
+        rx_cfg = dataclasses.replace(cfg, mode=Mode.RX)
+        assert sent.repeats == (0, 2044)
+        tiled = sliding_correlate(sent, rx_cfg)
+        assert slow_tilings == [(0, 8176)]
+        assert same_bits(tiled, sliding_correlate(unstated(sent), rx_cfg))
+
+    def test_rx_clock_error_takes_the_full_loop(self, slow_tilings):
+        received, rx_cfg = sounded(desk_config(capture=0.25, beta_ppm_error=10.0))
+        assert received.repeats is not None
+        assert sounder_mod._dilated_samples(rx_cfg) is None
+        sliding_correlate(received, rx_cfg)
+        assert slow_tilings == []
+
+    @pytest.mark.parametrize("fractional", ["gamma", "fs-over-alpha"])
+    def test_fractional_gamma_or_framing_takes_the_full_loop(self, slow_tilings, fractional):
+        # Pd = L * gamma * fs / alpha is whole whenever gamma and fs / alpha
+        # are, so these two cases are the ones a fractional Pd can come from
+        if fractional == "gamma":
+            received, rx_cfg = sounded(desk_config(beta=0.993e6, capture=0.3))
+            assert not rx_cfg.gamma.is_integer()
+        else:
+            # 4.3 MHz: a received signal framed at one sample per chip of a
+            # 4.3 Mcps code, repeating every 511 samples, against 1 Mcps
+            rx_cfg = desk_config(sample_rate=4.3e6, mode=Mode.RX)
+            seq = generate_period(PN9, chip_rate=4.3e6)
+            received = chips_to_waveform(seq, 1, periods=1000)
+            assert received.repeats == (0, 511) and rx_cfg.gamma == 200.0
+        assert sounder_mod._dilated_samples(rx_cfg) is None
+        sliding_correlate(received, rx_cfg)
+        assert slow_tilings == []
+
+    def test_dilated_period_not_whole_windows_takes_the_full_loop(self, slow_tilings):
+        received, rx_cfg = sounded(desk_config(lpf_cutoff=4e6 / 24, capture=0.25))
+        assert rx_cfg.decimation == 3 and 408800 % 3
+        assert sounder_mod._dilated_samples(rx_cfg) == 408800
+        sliding_correlate(received, rx_cfg)
+        assert slow_tilings == []
+
+    def test_period_not_dividing_the_dilated_period_takes_the_full_loop(self, slow_tilings):
+        # a 127-chip code at 4 samples per chip repeats every 508 samples,
+        # which does not divide the 511-chip code's Pd of 408800
+        rx_cfg = desk_config(mode=Mode.RX)
+        seq = generate_period(default_config(7), chip_rate=1e6)
+        received = chips_to_waveform(seq, 4, periods=900)
+        assert received.repeats == (0, 508) and 408800 % 508
+        sliding_correlate(received, rx_cfg)
+        assert slow_tilings == []
+
+    @pytest.mark.parametrize("source", ["jittered", "unframed", "replaced"])
+    def test_input_stating_no_repeat_takes_the_full_loop(self, slow_tilings, source):
+        if source == "unframed":
+            received, rx_cfg = sounded(desk_config(sample_rate=4.3e6, capture=0.25))
+        else:
+            received, rx_cfg = sounded(desk_config(capture=0.25))
+            if source == "jittered":
+                received = inject_jitter(tx_baseband(desk_config(capture=0.25)),
+                                         0.1e-6, rng_seed=3)
+            else:
+                received = unstated(received)
+        assert received.repeats is None
+        sliding_correlate(received, rx_cfg)
+        assert slow_tilings == []
+
+    def test_capture_shorter_than_head_plus_one_period_takes_the_full_loop(
+        self, slow_tilings
+    ):
+        # the 3 us path arrives 12 samples in, so window 1 is the first that
+        # repeats; 8176 windows cover one dilated period, and the head plus
+        # one period is 8177 windows: a capture of 8176 or 8177 windows has
+        # no window to copy
+        for windows in (8176, 8177):
+            short, rx_cfg = sounded(desk_config(capture=(windows * 50 + 40) / 4e6))
+            assert len(short) // 50 == windows and short.repeats == (12, 2044)
+            sliding_correlate(short, rx_cfg)
+            assert slow_tilings == []
+        # one window more and the last window is a copy
+        longer, _ = sounded(desk_config(capture=(8178 * 50 + 40) / 4e6))
+        tiled = sliding_correlate(longer, rx_cfg)
+        assert slow_tilings == [(1, 8176)]
+        assert same_bits(tiled, sliding_correlate(unstated(longer), rx_cfg))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pn=st.sampled_from([PnConfig(stages=3, taps=(3, 2)), default_config(5)]),
+        gamma=st.integers(2, 40),
+        m=st.integers(2, 5),
+        dec=st.integers(1, 12),
+        periods=st.floats(1.05, 3.5),
+        shifts=st.lists(st.integers(0, 300), min_size=1, max_size=3),
+        snr_db=st.one_of(st.none(), st.floats(0.0, 40.0)),
+        block=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_configs_tile_to_the_full_loop_bytes(
+        self, pn, gamma, m, dec, periods, shifts, snr_db, block, seed
+    ):
+        # alpha - beta = 1 kHz exactly, so gamma is exactly the whole number;
+        # the cutoff puts fs / (8 * lpf) half-way between dec and dec + 1,
+        # or below 1 where that cutoff would not pass the 1 kHz envelope
+        alpha = gamma * 1e3
+        dilated = pn.length * gamma * m
+        dec = math.gcd(dec, dilated)
+        lpf_cutoff = m * alpha / (8 * dec + 4)
+        if lpf_cutoff <= 1e3:
+            dec, lpf_cutoff = 1, m * alpha / 2
+        cfg = SounderConfig(pn=pn, alpha=alpha, beta=alpha - 1e3, sample_rate=m * alpha,
+                            lpf_cutoff=lpf_cutoff, capture=periods * dilated / (m * alpha))
+        assert cfg.decimation == dec
+        rng = np.random.default_rng(seed)
+        sample_ns = 1e9 / cfg.sample_rate
+        shifts = [k % round(cfg.capture * cfg.sample_rate) for k in shifts]
+        channel = ChannelModel(
+            paths=tuple(PathSpec(delay_ns=k * sample_ns, gain_db=float(rng.uniform(-20, 0)),
+                                 phase_deg=float(rng.uniform(0, 360))) for k in shifts),
+            snr_db=snr_db, rng_seed=int(rng.integers(0, 2**31)),
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            calls = spy_on_tilings(patch)
+            patch.setattr(waveform_mod, "BLOCK", block)
+            received, rx_cfg = sounded(cfg, channel)
+            tiled = sliding_correlate(received, rx_cfg, channel)
+            full = sliding_correlate(unstated(received), rx_cfg, channel)
+        first = -(-max(shifts) // dec)
+        windows = len(received) // dec
+        assert calls == ([(first, dilated // dec)] if first + dilated // dec < windows else [])
+        assert same_bits(tiled, full)
 
 
 def lag_correlation(x, lag):

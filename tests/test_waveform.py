@@ -142,6 +142,7 @@ class TestStatedPeriod:
         )
         tx = tx_baseband(cfg)
         assert tx.samples_per_period == pn.length * m
+        assert tx.repeats == (0, pn.length * m)
         assert repeats_bitwise(tx.samples, tx.samples_per_period)
 
     @pytest.mark.parametrize("periods", [1, 2, 5])
@@ -151,6 +152,7 @@ class TestStatedPeriod:
                            chip_rate=0.1)
         w = chips_to_waveform(seq, m, periods)
         assert w.samples_per_period == 37 * m
+        assert w.repeats == (0, 37 * m)
         assert repeats_bitwise(w.samples, w.samples_per_period)
 
     def test_outputs_that_do_not_repeat_state_no_period(self, seq11):
@@ -158,14 +160,29 @@ class TestStatedPeriod:
                             sample_rate=4.3e6, capture=100e-6, mode=Mode.TX)
         unframed = tx_baseband(cfg)
         assert unframed.samples_per_chip is None
-        assert unframed.samples_per_period is None
+        assert unframed.samples_per_period is None and unframed.repeats is None
         w = chips_to_waveform(seq11, 4, periods=2)
         jittered = inject_jitter(w, 0.05e-9, 3)
         assert jittered.samples_per_chip == 4 and jittered.samples_per_period is None
+        assert jittered.repeats is None
         received = apply_channel(w, ChannelModel(paths=(PathSpec(delay_ns=3.0),)))
         assert received.samples_per_chip == 4 and received.samples_per_period is None
         # the same samples, but replace cannot carry a claim it did not check
         assert dataclasses.replace(w, samples=w.samples).samples_per_period is None
+        assert dataclasses.replace(w, samples=w.samples).repeats is None
+
+    def test_channel_output_repeats_from_the_last_path(self, seq11):
+        # 3 ns at 4 samples per ns: the head is 12 zero-filled samples, and
+        # the output repeats from there with the input's period
+        w = chips_to_waveform(seq11, 4, periods=2)
+        received = apply_channel(w, ChannelModel(paths=(PathSpec(delay_ns=0.0),
+                                                        PathSpec(delay_ns=3.0))))
+        assert received.repeats == (12, 2047 * 4)
+        assert repeats_bitwise(received.samples[12:], 2047 * 4)
+        assert not repeats_bitwise(received.samples, 2047 * 4)
+        # so its spectrum keeps an unframed waveform's defaults
+        assert power_spectrum(received).line_spacing_hz is None
+        assert power_spectrum(received).power_linear.size == len(received)
 
     def test_no_caller_can_state_a_period(self, seq11):
         w = chips_to_waveform(seq11, 2)
@@ -173,6 +190,10 @@ class TestStatedPeriod:
             SampledWaveform(w.samples, w.sample_rate, 2, chips_per_period=2047)
         with pytest.raises(ValueError, match="chips_per_period"):
             dataclasses.replace(w, chips_per_period=2047)
+        with pytest.raises(TypeError):
+            SampledWaveform(w.samples, w.sample_rate, 2, repeats=(0, 4094))
+        with pytest.raises(ValueError, match="repeats"):
+            dataclasses.replace(w, repeats=(0, 4094))
 
 
 class TestPowerSpectrum:
