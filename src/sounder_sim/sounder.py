@@ -8,7 +8,9 @@ trace (local TX code times RX code) that marks the zero-delay reference.
 The filter and the integrate-and-dump that follows it are evaluated in
 closed form per decimation window: beyond the mixer products, the correlator
 forms two weighted sums of each window's products, with no per-sample
-filter pass.
+filter pass. The filter state then steps once per window, in Python floats
+and in lfilter's order, so its bits are the direct-form filter's; numpy is
+the only library the package needs.
 
 The relative code slip sweeps one full code period every dilated_period
 L*gamma/alpha seconds, with gamma = alpha/(alpha - beta); a true propagation
@@ -92,7 +94,8 @@ class SounderConfig:
     and share the code programming). beta_ppm_error models residual RX clock
     offset from an imperfect frequency reference; the derived gamma and all
     delay mapping use the nominal beta, so a nonzero error skews the measured
-    axis exactly as it would on the bench. An unset sample_rate defaults to
+    axis exactly as it would on the bench. It must leave the RX chip rate
+    beta_effective in (0, alpha). An unset sample_rate defaults to
     2*alpha, lpf_cutoff to 2*(alpha - beta), capture to 5.25 dilated periods.
     """
 
@@ -108,6 +111,11 @@ class SounderConfig:
     def __post_init__(self):
         sliding_factor(self.alpha, self.beta)
         finite_real(self.beta_ppm_error, "beta_ppm_error")
+        if not 0.0 < self.beta_effective < self.alpha:
+            raise InvalidRates(
+                f"beta_ppm_error {self.beta_ppm_error:g} puts the RX chip rate at"
+                f" {self.beta_effective!r} Hz, outside (0, alpha = {self.alpha!r} Hz)"
+            )
         if self.sample_rate is None:
             object.__setattr__(self, "sample_rate", 2.0 * self.alpha)
         finite_real(self.sample_rate, "sample_rate", error=InvalidRates)
@@ -318,6 +326,19 @@ def _window_repeat(
     return (first, dilated // dec) if first + dilated // dec < windows else None
 
 
+def _one_pole(rows: np.ndarray, pole: float) -> np.ndarray:
+    """y[w] = rows[w] + pole*y[w-1] along each row from y[-1] = 0, in Python
+    floats: for finite input, lfilter([1], [1, -pole])'s steps in its order."""
+    out = np.empty_like(rows)
+    for dest, row in zip(out, rows.tolist()):
+        y, ys = 0.0, []
+        for x in row:
+            y = x + pole * y
+            ys.append(y)
+        dest[:] = ys
+    return out
+
+
 def _capture_samples(cfg: SounderConfig) -> int:
     """Samples in cfg.capture, refused before allocation if they cannot fit."""
     samples = cfg.capture * cfg.sample_rate
@@ -368,7 +389,8 @@ def sliding_correlate(
     and final filter output are weighted sums of its products plus a
     multiple of the state before it (_window_weights), so the products meet
     the weights in one einsum per block and the filter recurrence runs at
-    the slow rate, once over all windows. einsum sums each window in one
+    the slow rate, once over all windows, in Python floats and in lfilter's
+    order, so its bits are kept (_one_pole). einsum sums each window in one
     order whatever else the block holds; a BLAS product may change its
     summation with the number of rows and so with the block size. Blocks
     are cut at window boundaries, so block size cannot change results.
@@ -414,8 +436,6 @@ def sliding_correlate(
 
     noise_std = None if channel is None else channel.noise_std()
 
-    from scipy.signal import lfilter  # a 1.2 s import that only sounding needs
-
     fs = cfg.sample_rate
     dec = cfg.decimation
     weights, carry, pole_d = _window_weights(2.0 * math.pi * cfg.lpf_cutoff / fs, dec)
@@ -457,7 +477,7 @@ def sliding_correlate(
         sums[1, :2] += factor[1, 0] * normals[0] + factor[1, 1] * normals[1]
     means, ends = sums
     # filter output at the end of each window: s[w] = P*s[w-1] + ends[w]
-    states = lfilter([1.0], [1.0, -pole_d], ends, axis=-1)
+    states = _one_pole(ends, pole_d)
     means[:, 1:] += carry * states[:, :-1]  # the state before window 0 is zero
     i_out, q_out, sync = means
 

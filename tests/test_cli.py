@@ -683,6 +683,17 @@ class TestSoundCommand:
         assert main(["sound", "--config", cfg, "--out", str(outdir)]) == 2
         assert not outdir.exists() or not any(outdir.iterdir())
 
+    def test_rx_clock_at_zero_hz_exits_2(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(README_DESK))
+        doc["sounder"]["beta_ppm_error"] = -1000000
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        outdir = tmp_path / "o"
+        assert main(["sound", "--config", cfg, "--out", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "beta_ppm_error" in err
+        assert not outdir.exists() or not any(outdir.iterdir())
+
     @pytest.mark.parametrize("capture", [1e30, 1e300])
     def test_capture_beyond_physical_memory_exits_2(self, tmp_path, capsys, capture):
         cfg = write_json(tmp_path / "cfg.json", desk_doc(capture=capture))
@@ -932,13 +943,21 @@ def test_module_entry_point():
 
 
 def test_cli_import_and_config_load_need_no_scipy(tmp_path):
-    # scipy.signal costs over a second of start-up; only sounding uses it
+    # numpy is the only runtime dependency: with every scipy import made to
+    # fail, the CLI imports, loads a config and runs the README desk sound
     cfg = write_json(tmp_path / "desk.json", README_DESK)
+    channel = write_json(tmp_path / "channel.json", README_CHANNEL)
     script = (
-        "import sys, sounder_sim.cli\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None  # import scipy now raises ImportError\n"
+        "import sounder_sim.cli\n"
         "sounder_sim.cli.load_config(sys.argv[1])\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "code = sounder_sim.cli.main(['sound', '--config', sys.argv[1],\n"
+        "                             '--channel', sys.argv[2], '--out', sys.argv[3]])\n"
+        "print(code, sorted(m for m, module in sys.modules.items()\n"
+        "                   if m.split('.')[0] == 'scipy' and module is not None))\n"
     )
-    result = run_child("-c", script, cfg)
+    result = run_child("-c", script, cfg, channel, str(tmp_path / "run"))
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.strip() == "0 []", result.stderr
+    assert "3000,-6.88286743548,0" in (tmp_path / "run" / "paths.csv").read_text()

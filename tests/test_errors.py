@@ -87,6 +87,19 @@ def sounder(**fields):
     return SounderConfig(**{"pn": PN, "alpha": 1e6, "beta": 0.99e6, **fields})
 
 
+def first_ppm_at_alpha(alpha, beta):
+    """The least beta_ppm_error whose RX chip rate beta*(1 + ppm*1e-6) is alpha
+    or more: about 5025.2 on the desk's 1 MHz / 995 kHz."""
+    ppm = (alpha / beta - 1.0) * 1e6
+    while beta * (1.0 + ppm * 1e-6) >= alpha:
+        ppm = math.nextafter(ppm, -math.inf)
+    while beta * (1.0 + ppm * 1e-6) < alpha:
+        ppm = math.nextafter(ppm, math.inf)
+    return ppm
+
+
+DESK_PPM_LIMIT = first_ppm_at_alpha(1e6, 0.995e6)
+
 REAL_SITES = [
     ("SampledWaveform.sample_rate", lambda v: SampledWaveform(np.ones(4), v), ConfigError),
     ("PowerSpectrum.sample_rate", lambda v: PowerSpectrum(np.ones(4), v), ConfigError),
@@ -124,12 +137,25 @@ def table(sites, values):
     + table(REAL_SITES, NOT_REALS)
     # a rate string is a config file's rate; a bool or a non-finite rate is not
     + table([("config.rate", parse_rate, ConfigError)],
-            [True, np.True_, math.nan, math.inf, "nan Hz", 0, [1e6]]),
+            [True, np.True_, math.nan, math.inf, "nan Hz", 0, [1e6]])
+    # a finite clock error that stops the RX code slipping behind the TX code
+    + table([("SounderConfig.beta_ppm_error",
+              lambda v: sounder(beta=0.995e6, beta_ppm_error=v), InvalidRates)],
+            [-1e6, -2e6, 1e300, DESK_PPM_LIMIT])
+    # 0.5 MHz * (1 + 1e6 * 1e-6) is alpha exactly
+    + table([("SounderConfig.beta_ppm_error",
+              lambda v: sounder(beta=0.5e6, beta_ppm_error=v), InvalidRates)], [1e6]),
 )
 def test_site_refuses_what_is_not_its_kind_of_number(call, error, value):
     with pytest.raises(error) as refused:
         call(value)
     assert refused.type is error  # the site's own class, not a subclass
+
+
+def test_clock_error_just_short_of_alpha_is_accepted():
+    below = math.nextafter(DESK_PPM_LIMIT, -math.inf)
+    assert sounder(beta=0.995e6, beta_ppm_error=below).beta_effective < 1e6
+    assert sounder(beta=0.995e6, beta_ppm_error=-999999.0).beta_effective > 0.0
 
 
 class TestCountRule:

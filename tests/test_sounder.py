@@ -149,6 +149,12 @@ def desk_config(**overrides):
     return SounderConfig(**base)
 
 
+def window_pole(cfg):
+    """The filter's pole per window, which sliding_correlate steps its state by."""
+    omega = 2.0 * math.pi * cfg.lpf_cutoff / cfg.sample_rate
+    return sounder_mod._window_weights(omega, cfg.decimation)[2]
+
+
 @pytest.fixture(scope="module")
 def desk():
     cfg = desk_config()
@@ -488,6 +494,23 @@ class TestSlidingCorrelate:
         short = SampledWaveform(samples=tx.samples[:100000], sample_rate=4e6)
         with pytest.raises(CaptureTooShort):
             sliding_correlate(short, rx_cfg)
+
+    @pytest.mark.parametrize("pole", [
+        0.0, 1e-9, 0.456, 0.999999,
+        # the window-rate poles of the desk-n11 and paper-gamma benchmark runs
+        window_pole(desk_config(pn=default_config(11))),
+        window_pole(SounderConfig(pn=default_config(6), alpha=1e9, beta=999.95e6)),
+    ])
+    @pytest.mark.parametrize("length", [1, 7, 3000])
+    def test_window_recursion_has_the_direct_form_filters_bits(self, pole, length):
+        # plain, subnormal-bound and huge rows, and one of signed zeros
+        rng = np.random.default_rng(length)
+        rows = rng.standard_normal((4, length)) * np.array([[1.0], [1e-300], [1e300], [1.0]])
+        rows[3, ::2] = 0.0
+        rows[3, 1::4] = -0.0
+        got = sounder_mod._one_pole(rows, pole)
+        want = lfilter([1.0], [1.0, -pole], rows, axis=-1)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_block_size_does_not_change_results(self, desk, monkeypatch, slow_tilings):
         cfg, _, rx_cfg = desk
