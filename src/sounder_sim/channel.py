@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, DelayExceedsDuration, InvalidSnr, finite_real, whole_count
-from .waveform import SampledWaveform, block_length, tile_forward
+from .waveform import SampledWaveform, block_length, repeating, tile_forward
 
 
 def read_json_file(path, what: str):
@@ -274,9 +274,9 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
     sample takes the same operations on the same bits as the sample P
     before it, so the rest is copies of out[s + last:s + last + P]
     (tile_forward), the same bytes at one copy's cost whatever the path
-    count, and the output states repeats = (s + last, P). Any other input
-    is summed path by path throughout and states nothing. The output,
-    zero-filled at its head, states no period (samples_per_period).
+    count, and the output states repeats = (s + last, P): samples_per_period
+    P when s + last is 0, else None. Any other input, or one whose head
+    covers the whole output, is summed path by path and states nothing.
     """
     n = len(w)
     shifted_gains = []
@@ -311,6 +311,4 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
     if summed == n:
         return SampledWaveform(out, w.sample_rate, w.samples_per_chip)
     tile_forward(out, first, period)
-    received = SampledWaveform(out, w.sample_rate, w.samples_per_chip)
-    object.__setattr__(received, "repeats", (first, period))
-    return received
+    return repeating(out, w.sample_rate, w.samples_per_chip, (first, period))

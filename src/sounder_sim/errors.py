@@ -28,16 +28,14 @@ class AllZeroState(ConfigError):
 
 
 class NotMaximal(SounderSimError):
-    """Generated sequence period fell short of 2^N - 1.
+    """Generated sequence period fell short of 2^N - 1; ``cycle`` holds the chips walked."""
 
-    The observed period is carried so callers can reject bad tap words.
-    """
-
-    def __init__(self, period: int, expected: int):
-        self.period = period
-        self.expected = expected
+    def __init__(self, cycle):
+        self.cycle = cycle
+        self.period = len(cycle)
+        self.expected = cycle.config.length
         super().__init__(
-            f"sequence period {period} < maximal length {expected}; "
+            f"sequence period {self.period} < maximal length {self.expected}; "
             "tap set is not primitive for this stage count"
         )
 

@@ -233,8 +233,8 @@ class ChipSequence:
 def generate_period(config: PnConfig, chip_rate: float = 1.0) -> ChipSequence:
     """Generate exactly one full period starting from the seed.
 
-    Raises NotMaximal (carrying the observed period) when the tap set is not
-    primitive for this stage count, so callers can reject bad tap words.
+    Raises NotMaximal, carrying the short cycle walked, when the tap set is
+    not primitive for this stage count, so callers can reject bad tap words.
     """
     advance = _register_update(config)
     seed = config.seed_int()
@@ -245,7 +245,8 @@ def generate_period(config: PnConfig, chip_rate: float = 1.0) -> ChipSequence:
     for i in range(limit):
         state, out[i] = advance(state)
         if state == seed and i + 1 < limit:
-            raise NotMaximal(i + 1, limit)
+            cycle = np.frombuffer(out[: i + 1], dtype=np.uint8)
+            raise NotMaximal(ChipSequence(cycle, chip_rate, config))
     chips = np.frombuffer(out, dtype=np.uint8)
     return ChipSequence(chips=chips, chip_rate=chip_rate, config=config)
 
@@ -315,9 +316,8 @@ def validate_m_sequence(seq: ChipSequence) -> dict:
 
     violations = []
     if n_stages is not None:
-        expected_len = (1 << n_stages) - 1
-        if length != expected_len:
-            violations.append(f"period: {length} != 2^{n_stages}-1 = {expected_len}")
+        if length != seq.config.length:
+            violations.append(f"period: {length} != 2^{n_stages}-1 = {seq.config.length}")
         if ones != 1 << (n_stages - 1):
             violations.append(f"balance: {ones} ones != {1 << (n_stages - 1)}")
         if hist != expected_maximal_runs(n_stages):

@@ -68,6 +68,12 @@ from .waveform import (
 # sample: tx_baseband holds one beside its output, and the correlator at most
 # two beside the received array, once the TX array is gone.
 _CAPTURE_BYTES_PER_SAMPLE = 32
+# The correlator's arrays per window, live while _one_pole steps a row: six
+# window sums (48 B), four noise normals (32 B), the recursion's 3 outputs
+# (24 B), and one row as an input and an output list of Python floats (2 x
+# (8 + 24) B) plus the array numpy builds from the latter (8 B). Measured
+# 172-175 B of peak RSS per window at decimation 1 (N=9, gamma 10, 20 dB).
+_WINDOW_BYTES = 176
 
 
 class Mode(enum.Enum):
@@ -328,23 +334,22 @@ def _window_repeat(
 
 def _one_pole(rows: np.ndarray, pole: float) -> np.ndarray:
     """y[w] = rows[w] + pole*y[w-1] along each row from y[-1] = 0, in Python
-    floats: for finite input, lfilter([1], [1, -pole])'s steps in its order."""
+    floats, a row at a time: for finite input, lfilter([1], [1, -pole])'s steps in its order."""
     out = np.empty_like(rows)
-    for dest, row in zip(out, rows.tolist()):
+    for dest, row in zip(out, rows):
         y, ys = 0.0, []
-        for x in row:
+        for x in row.tolist():
             y = x + pole * y
             ys.append(y)
         dest[:] = ys
     return out
 
 
-def _capture_samples(cfg: SounderConfig) -> int:
-    """Samples in cfg.capture, refused before allocation if they cannot fit."""
-    samples = cfg.capture * cfg.sample_rate
-    refuse_beyond_memory(
-        samples * _CAPTURE_BYTES_PER_SAMPLE, f"capture of {samples:.4g} samples"
-    )
+def _capture_samples(samples: float, dec: int) -> int:
+    """round(samples), refused before allocation if they, or the correlator's
+    windows of dec samples over them, cannot fit."""
+    nbytes = samples * _CAPTURE_BYTES_PER_SAMPLE + samples / dec * _WINDOW_BYTES
+    refuse_beyond_memory(nbytes, f"capture of {samples:.4g} samples")
     count = int(round(samples))
     if count < 1:
         raise ConfigError("capture too short for even one sample")
@@ -356,12 +361,13 @@ def tx_baseband(cfg: SounderConfig) -> SampledWaveform:
 
     Chip k spans [k/alpha, (k+1)/alpha); sample n takes the chip at t = n/fs,
     so chip boundaries sit on the exact time grid for any fs >= 2*alpha. Only
-    when fs/alpha is a whole number is the waveform framed in chips, and then
-    it states its period (periodic_code).
+    at a whole m = fs/alpha is the waveform framed in chips, and then it
+    states repeats = (0, L*m) (periodic_code). A capture is refused first if
+    it, or the correlator's windows over it, cannot fit in memory.
     """
     if cfg.mode is not Mode.TX:
         raise ConfigError("tx_baseband needs a config with mode=TX")
-    count = _capture_samples(cfg)
+    count = _capture_samples(cfg.capture * cfg.sample_rate, cfg.decimation)
     table = _bipolar_table(cfg.pn)
     m = cfg.sample_rate / cfg.alpha
     if m.is_integer():
@@ -383,7 +389,8 @@ def sliding_correlate(
     decimation consecutive filter outputs averages into one slow sample.
     The averaging is the anti-alias guard the one-pole filter alone cannot
     provide; plain subsampling would fold the filter's high-frequency tail
-    back into the slow band. A trailing partial window is dropped.
+    back into the slow band. A trailing partial window is dropped. An input
+    whose windows' arrays cannot fit in memory beside it is refused first.
 
     The filtered samples themselves are never formed: each window's mean
     and final filter output are weighted sums of its products plus a
@@ -439,7 +446,7 @@ def sliding_correlate(
     fs = cfg.sample_rate
     dec = cfg.decimation
     weights, carry, pole_d = _window_weights(2.0 * math.pi * cfg.lpf_cutoff / fs, dec)
-    windows = n_total // dec  # a trailing partial window is never multiplied
+    windows = _capture_samples(n_total, dec) // dec
     dilated = _dilated_samples(cfg)
     repeat = _window_repeat(received, dilated, dec, windows)
     multiplied = dec * (windows if repeat is None else sum(repeat))

@@ -28,6 +28,11 @@ from .pn import ChipSequence
 DB_FLOOR = -300.0  # power ratios are clipped here so log10 never sees zero
 NULL_CLIP_DB = -120.0  # null depths are ranked on power clipped here
 
+# power_spectrum's complex128 input and FFT output (16 B per sample each)
+# and |X| (8 B), squared in place or, for 8 B more, not. Measured 41.6 B per
+# sample at peak on an N=11 code at 100 and 200 samples per chip.
+_SPECTRUM_BYTES_PER_SAMPLE = 48
+
 # Streaming block length in samples, shared by the TX, channel and
 # correlator stages, sized so that one block's working set stays in a core's
 # L2 cache (2 MiB on the 2-core Xeon VM it was measured on). At 1 << 14 a
@@ -134,22 +139,18 @@ class SampledWaveform:
     """Complex baseband samples at a fixed rate.
 
     ``samples_per_chip`` (whole) frames waveforms built from a chip
-    sequence; ``chip_rate`` derives from it. ``chips_per_period`` is set
-    only by periodic_code, never by the constructor or replace (which
-    resets it), so ``samples_per_period`` is None unless the samples repeat
-    bit for bit every samples_per_period samples.
-
-    ``repeats`` is a pair (start, period): samples[k] holds the bits of
-    samples[k - period] for every k >= start + period. Only the code that
-    makes the samples that way sets it, periodic_code (from 0) and
-    apply_channel's tiled route (from the last path's arrival), and replace
-    resets it too; None states nothing.
+    sequence; ``chip_rate`` derives from it. ``repeats``, the one period a
+    waveform states, is None or (start, period): samples[k] holds the bits
+    of samples[k - period] for every k >= start + period. Only repeating()
+    sets it, for the code that makes the samples so: periodic_code (from 0)
+    and apply_channel's tiled route (from the last path's arrival); the
+    constructor cannot, and replace resets it. ``samples_per_period`` is
+    the period of a repeat from sample 0, else None.
     """
 
     samples: np.ndarray
     sample_rate: float
     samples_per_chip: int | None = None
-    chips_per_period: int | None = field(default=None, init=False)
     repeats: tuple[int, int] | None = field(default=None, init=False)
 
     def __post_init__(self):
@@ -174,8 +175,15 @@ class SampledWaveform:
 
     @property
     def samples_per_period(self) -> int | None:
-        m, chips = self.samples_per_chip, self.chips_per_period
-        return None if m is None or chips is None else m * chips
+        r = self.repeats
+        return r[1] if r is not None and r[0] == 0 else None
+
+
+def repeating(samples, sample_rate, samples_per_chip, repeats) -> SampledWaveform:
+    """A SampledWaveform stating repeats; the caller made the samples repeat so."""
+    w = SampledWaveform(samples, sample_rate, samples_per_chip)
+    object.__setattr__(w, "repeats", repeats)
+    return w
 
 
 @dataclass(frozen=True)
@@ -220,13 +228,9 @@ def periodic_code(
     """count samples of the code table at a whole m samples per chip.
 
     Sample n carries chip (n // m) mod L, so the samples repeat bit for bit
-    every L * m samples from sample 0; this is the one place that states
-    that period.
+    every L * m samples from sample 0, as the result's repeats states.
     """
-    w = SampledWaveform(sample_code(table, 1.0, m, count), sample_rate, m)
-    object.__setattr__(w, "chips_per_period", table.size)
-    object.__setattr__(w, "repeats", (0, table.size * m))
-    return w
+    return repeating(sample_code(table, 1.0, m, count), sample_rate, m, (0, table.size * m))
 
 
 def chips_to_waveform(
@@ -265,6 +269,7 @@ def power_spectrum(w: SampledWaveform, fft_size: int | None = None) -> PowerSpec
             f"waveform has {len(w)} samples, need at least fft_size = {fft_size}"
         )
 
+    refuse_beyond_memory(len(w) * _SPECTRUM_BYTES_PER_SAMPLE, f"spectrum of {len(w):.4g} samples")
     n_seg = len(w) // fft_size
     segments = w.samples[: n_seg * fft_size].reshape(n_seg, fft_size)
     scale = 1.0 / fft_size**2

@@ -450,7 +450,9 @@ class TestTiledRoute:
         quiet = dataclasses.replace(ch, snr_db=None)
         assert out.samples.tobytes() == reference_apply_channel(w, quiet).tobytes()
         assert tilings == [(max(shifts), period)]
-        assert out.repeats == (max(shifts), period) and out.samples_per_period is None
+        assert out.repeats == (max(shifts), period)
+        # every path at shift 0 repeats from sample 0; a zero-filled head does not
+        assert out.samples_per_period == (period if max(shifts) == 0 else None)
 
     @pytest.fixture(params=["jittered", "changed-last-block", "negative-zero"])
     def non_repeating(self, request):

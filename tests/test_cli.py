@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sounder_sim
+import sounder_sim.sounder as sounder_mod
 from sounder_sim import cli
 from sounder_sim.channel import ChannelModel, apply_channel
 from sounder_sim.cli import _emit_json, main
@@ -362,9 +363,15 @@ class TestPnCommands:
         out = tmp_path / "report.json"
         assert main(["pn", "validate", "--config", cfg, "--out", str(out)]) == 1
         report = json.loads(out.read_text())
-        assert report["period"] == 21
-        assert report["expected_period"] == 31
-        assert any("period" in v for v in report["violations"])
+        # every law is checked on the short cycle, in the maximal code's schema
+        assert report["stages"] == 5 and report["period"] == 21
+        assert "expected_period" not in report
+        assert report["violations"][0] == "period: 21 != 2^5-1 = 31"
+        assert any(v.startswith("balance: ") for v in report["violations"])
+        maximal = tmp_path / "maximal.json"
+        assert main(["pn", "validate", "--config", write_json(tmp_path / "m.json", desk_doc()),
+                     "--out", str(maximal)]) == 0
+        assert report.keys() == json.loads(maximal.read_text()).keys()
 
     @pytest.mark.parametrize("command", ["gen", "validate"])
     def test_all_zero_seed_exits_2(self, tmp_path, capsys, command):
@@ -701,6 +708,27 @@ class TestSoundCommand:
         assert main(["sound", "--config", cfg, "--out", str(outdir)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: capture of") and "Traceback" not in err
+        assert not any(outdir.iterdir())
+
+    def test_windows_beyond_physical_memory_exit_2_before_tx(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # gamma 10 at fs 2 MHz decimates by 1: 1e6 samples fit the claimed
+        # 64 MiB at 32 B each, but not with one window's arrays per sample
+        doc = small_doc()
+        doc["sounder"].update(beta="900 kHz", capture=0.5)
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert load_config(cfg).sounder_config(Mode.RX).decimation == 1
+
+        def build(*args):
+            raise AssertionError("the TX waveform was built")
+
+        monkeypatch.setattr(os, "sysconf", small_memory_sysconf(os.sysconf))
+        monkeypatch.setattr(sounder_mod, "periodic_code", build)
+        outdir = tmp_path / "o"
+        assert main(["sound", "--config", cfg, "--out", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: capture of 1e+06 samples needs") and err.count("\n") == 1
         assert not any(outdir.iterdir())
 
     @pytest.mark.parametrize("floor_db", ["-inf", "inf", "nan"])

@@ -203,6 +203,25 @@ class TestMaximalLaws:
             assert as_text in doubled  # XOR of shifts is another phase
 
 
+def walk_register(cfg, count):
+    """count output chips of the register, stepped one stage list at a time.
+
+    Stage i is stages[i - 1] and stage N is the output. SSRG shifts in the
+    XOR of the tapped stages at stage 1; MSRG shifts the output into stage 1
+    and XORs it into stage t + 1 for each tap t < N.
+    """
+    stages, chips = list(cfg.seed), []
+    for _ in range(count):
+        out = stages[-1]
+        chips.append(out)
+        if cfg.structure is Structure.SSRG:
+            stages = [sum(stages[t - 1] for t in cfg.taps) % 2] + stages[:-1]
+        else:
+            stages = [out] + [s ^ (out if i in cfg.taps else 0)
+                              for i, s in enumerate(stages[:-1], start=1)]
+    return chips
+
+
 class TestNonMaximal:
     @pytest.mark.parametrize("structure", BOTH)
     def test_short_cycle_reported(self, structure):
@@ -218,6 +237,18 @@ class TestNonMaximal:
         with pytest.raises(NotMaximal) as err:
             generate_period(cfg)
         assert err.value.period == 1
+
+    @pytest.mark.parametrize("structure", BOTH)
+    @pytest.mark.parametrize("taps,period", [((5, 1), 21), ((5,), 1)])
+    def test_error_carries_the_cycle_walked(self, structure, taps, period):
+        cfg = PnConfig(stages=5, taps=taps, structure=structure)
+        with pytest.raises(NotMaximal) as err:
+            generate_period(cfg, chip_rate=2e6)
+        cycle = err.value.cycle
+        assert cycle.config == cfg and cycle.chip_rate == 2e6
+        assert cycle.chips.tolist() == walk_register(cfg, period)
+        # the register is back at its seed: the next period is the same chips
+        assert walk_register(cfg, 2 * period) == 2 * cycle.chips.tolist()
 
 
 class TestRegisterWalk:

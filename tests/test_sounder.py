@@ -9,6 +9,7 @@ cyclic-correlation oracle, never by the streaming code under test.
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -494,6 +495,18 @@ class TestSlidingCorrelate:
         short = SampledWaveform(samples=tx.samples[:100000], sample_rate=4e6)
         with pytest.raises(CaptureTooShort):
             sliding_correlate(short, rx_cfg)
+
+    def test_windows_beyond_physical_memory_are_refused(self, monkeypatch):
+        # decimation 1: memory for 100 B per sample holds the received array
+        # and two code copies, not the window arrays beside them
+        cfg = SounderConfig(pn=default_config(5), alpha=1e6, beta=0.9e6, mode=Mode.TX)
+        received = tx_baseband(cfg)
+        rx_cfg = dataclasses.replace(cfg, mode=Mode.RX)
+        assert rx_cfg.decimation == 1
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": len(received) * 100}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        with pytest.raises(ConfigError, match=f"^capture of {len(received)} samples needs"):
+            sliding_correlate(received, rx_cfg)
 
     @pytest.mark.parametrize("pole", [
         0.0, 1e-9, 0.456, 0.999999,

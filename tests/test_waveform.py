@@ -7,6 +7,7 @@ by direct peak search so the package's own bookkeeping is not trusted.
 """
 
 import dataclasses
+import os
 from math import inf, nan
 
 import numpy as np
@@ -184,12 +185,19 @@ class TestStatedPeriod:
         assert power_spectrum(received).line_spacing_hz is None
         assert power_spectrum(received).power_linear.size == len(received)
 
+    def test_channel_output_at_shift_zero_repeats_from_sample_0(self, seq11):
+        # only a 0 ns path: nothing is zero-filled, so the output states its
+        # period from sample 0 and its spectrum takes the line grid
+        w = chips_to_waveform(seq11, 4, periods=2)
+        period = 2047 * 4
+        received = apply_channel(w, ChannelModel(paths=(PathSpec(delay_ns=0.0, gain_db=-3.0),)))
+        assert received.repeats == (0, period) and received.samples_per_period == period
+        ps = power_spectrum(received)
+        assert ps.line_spacing_hz == w.sample_rate / period == power_spectrum(w).line_spacing_hz
+        assert ps.power_linear.size == period
+
     def test_no_caller_can_state_a_period(self, seq11):
         w = chips_to_waveform(seq11, 2)
-        with pytest.raises(TypeError):
-            SampledWaveform(w.samples, w.sample_rate, 2, chips_per_period=2047)
-        with pytest.raises(ValueError, match="chips_per_period"):
-            dataclasses.replace(w, chips_per_period=2047)
         with pytest.raises(TypeError):
             SampledWaveform(w.samples, w.sample_rate, 2, repeats=(0, 4094))
         with pytest.raises(ValueError, match="repeats"):
@@ -197,6 +205,14 @@ class TestStatedPeriod:
 
 
 class TestPowerSpectrum:
+    def test_fft_beyond_physical_memory_is_refused(self, seq11, monkeypatch):
+        # memory for 40 B per sample holds the waveform, not the FFT beside it
+        w = chips_to_waveform(seq11, 2)
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": len(w) * 40}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        with pytest.raises(ConfigError, match="^spectrum of 4094 samples needs"):
+            power_spectrum(w)
+
     def test_grid_derives_from_power_and_rate(self):
         power = np.arange(1.0, 8.0)
         ps = PowerSpectrum(power_linear=power, sample_rate=7e6)
