@@ -7,8 +7,9 @@ reads back with every complex gain bit for bit. Delays are quantized to the
 nearest sample; test fixtures keep them on the sample grid so quantization
 never moves a path by more than half a sample. An input that states it
 repeats bit for bit, so its output repeats from the last path's arrival
-on: apply_channel sums the paths only up to one period past it, tiles the
-rest (waveform.tile_forward) and states that repeat. The noise is complex
+on: when a whole period fits after it, apply_channel sums the paths only
+up to one period past it, tiles the rest (waveform.tile_forward) and
+states that repeat. The noise is complex
 circular Gaussian with variance set by snr_db relative to the strongest
 path's received power for a unit-power input (noise_std). apply_channel
 adds none: the receiver draws it, per decimation window (see
@@ -269,14 +270,14 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
 
     An input that states it repeats with period P from sample s (repeats:
     every chips_to_waveform output and every tx_baseband output at a whole
-    fs/alpha, from s = 0) is summed path by path only up to s + last + P,
-    where last is the largest path shift. From s + last on, each output
-    sample takes the same operations on the same bits as the sample P
-    before it, so the rest is copies of out[s + last:s + last + P]
-    (tile_forward), the same bytes at one copy's cost whatever the path
-    count, and the output states repeats = (s + last, P): samples_per_period
-    P when s + last is 0, else None. Any other input, or one whose head
-    covers the whole output, is summed path by path and states nothing.
+    fs/alpha, from s = 0) repeats in the output from s + last on, where
+    last is the largest path shift: each output sample there takes the same
+    operations on the same bits as the sample P before it. Whenever one
+    whole period fits there (s + last + P <= n), the paths are summed only
+    up to s + last + P, the rest is copies of out[s + last:s + last + P]
+    (tile_forward), the same bytes at one copy's cost, and the output states
+    repeats = (s + last, P): samples_per_period P when s + last is 0, else
+    None. Any other input is summed path by path and states nothing.
     """
     n = len(w)
     shifted_gains = []
@@ -291,11 +292,10 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
 
     block = block_length()
     last = max((shift for shift, _ in shifted_gains), default=0)
-    summed = n
-    if w.repeats is not None:
-        first, period = w.repeats
-        first += last
-        summed = min(first + period, n)
+    summed, repeats = n, None
+    if w.repeats is not None and w.repeats[0] + last + w.repeats[1] <= n:
+        repeats = (w.repeats[0] + last, w.repeats[1])
+        summed = sum(repeats)
     out = np.zeros(n, dtype=np.complex128)
     scratch = np.empty(min(block, summed), dtype=np.complex128)
     for start in range(0, summed, block):
@@ -308,7 +308,7 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
                 # differ in the last bit when the operands are swapped
                 np.multiply(gain, w.samples[lo - shift : stop - shift], out=copy)
                 out[lo:stop] += copy
-    if summed == n:
+    if repeats is None:
         return SampledWaveform(out, w.sample_rate, w.samples_per_chip)
-    tile_forward(out, first, period)
-    return repeating(out, w.sample_rate, w.samples_per_chip, (first, period))
+    tile_forward(out, *repeats)
+    return repeating(out, w.sample_rate, w.samples_per_chip, repeats)

@@ -24,7 +24,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, errors
+from . import __version__, errors, waveform
 from .analysis import extract_paths, instrument_metrics
 from .channel import ChannelModel, apply_channel, identity_channel
 from .config import RunManifest, load_config
@@ -86,6 +86,10 @@ def cmd_spectrum(args) -> int:
             "spectrum needs spectrum.chip_rate or a sounder section with alpha"
         )
     seq = generate_period(spec.pn, chip_rate=chip_rate)
+    # before the waveform is built; through the module, as in _resolve_threads
+    count = len(seq) * sp.samples_per_chip * sp.periods
+    errors.refuse_beyond_memory(count * waveform._SPECTRUM_BYTES_PER_SAMPLE,
+                                f"waveform of {count:.4g} samples and its FFT")
     w = chips_to_waveform(seq, sp.samples_per_chip, sp.periods)
     ps = power_spectrum(w, fft_size=sp.fft_size)
     nulls = find_spectral_nulls(ps, count=sp.null_count)

@@ -176,28 +176,27 @@ def default_config(
 
 
 def _register_update(config: PnConfig):
-    """The register's clock as advance(state) -> (next state, output chip).
+    """The register's clock as advance(state) -> next state.
 
-    Stage N is the output. SSRG shifts the XOR of the tapped stages in at
-    stage 1; MSRG XOR-injects the output at each tap adder during the shift.
-    States are ints, stage i in bit i-1. The feedback word is formed once
-    per code: the SSRG tap word, or the MSRG inject mask, which feeds stage 1
-    and the adder between stages t and t+1 for each tap t < N.
+    Stage N (state >> (stages - 1)) is the output. SSRG shifts the XOR of the
+    tapped stages in at stage 1; MSRG XOR-injects the output at each tap adder
+    during the shift. States are ints, stage i in bit i-1. The feedback word is
+    formed once per code: the SSRG tap word, or the MSRG inject mask, which
+    feeds stage 1 and the adder between stages t and t+1 for each tap t < N.
     """
     full = config.length
     top = config.stages - 1
     if config.structure is Structure.SSRG:
         taps = _tap_word(config.taps)
 
-        def advance(state: int) -> tuple[int, int]:
-            return ((state << 1) | (state & taps).bit_count() & 1) & full, state >> top
+        def advance(state: int) -> int:
+            return ((state << 1) | (state & taps).bit_count() & 1) & full
 
     else:
         inject = 1 | sum(1 << t for t in config.taps if t < config.stages)
 
-        def advance(state: int) -> tuple[int, int]:
-            out = state >> top
-            return ((state << 1) & full) ^ (inject & -out), out
+        def advance(state: int) -> int:
+            return ((state << 1) & full) ^ (inject & -(state >> top))
 
     return advance
 
@@ -238,12 +237,13 @@ def generate_period(config: PnConfig, chip_rate: float = 1.0) -> ChipSequence:
     """
     advance = _register_update(config)
     seed = config.seed_int()
-    state = seed
+    state, top = seed, config.stages - 1
     limit = config.length
     refuse_beyond_memory(limit, f"code period of {limit:.4g} chips")
     out = bytearray(limit)
     for i in range(limit):
-        state, out[i] = advance(state)
+        out[i] = state >> top
+        state = advance(state)
         if state == seed and i + 1 < limit:
             cycle = np.frombuffer(out[: i + 1], dtype=np.uint8)
             raise NotMaximal(ChipSequence(cycle, chip_rate, config))

@@ -24,10 +24,10 @@ At a whole gamma and a whole m = fs/alpha, with no RX clock error, both
 codes realign every Pd = L*gamma*m samples, and the RX code at sample n is
 defined as the code at n mod Pd, as the hardware's counters wrap: float
 truncation alone does not promise that trunc(n * fl(beta/fs)) repeats.
-Against a static channel every mixer product then repeats every Pd samples
-from the received signal's repeat start on, so the correlator multiplies
-one dilated period past that start and copies its window sums over the
-rest of the capture (slow-time tiling, see sliding_correlate).
+Against a static channel every mixer product then repeats every lcm(Pd, P)
+samples from where the received signal's period P starts, so the correlator
+multiplies one repeat of whole windows and copies their sums over the rest
+of the capture (slow-time tiling, see sliding_correlate).
 """
 
 from __future__ import annotations
@@ -315,21 +315,18 @@ def _window_repeat(
 ) -> tuple[int, int] | None:
     """(first, period) in windows, when the window sums repeat and some remain.
 
-    The products repeat every dilated samples from the received signal's
-    repeat start on when both codes do (dilated, from _dilated_samples) and
-    the signal's period divides dilated. When dilated is also a whole number
-    of windows, every window sum from first + period on equals the one
-    period windows before it, first being the first window past the repeat
-    start. None when any of that fails, or when the capture ends before
-    first + period windows, so there is nothing to copy.
+    When both codes repeat every dilated samples (_dilated_samples) and the
+    received signal repeats every P samples from sample s, every product
+    from s on repeats every lcm(dilated, P) samples, so every window sum
+    from first = ceil(s/dec) on repeats every lcm(dilated, P, dec)/dec
+    windows. None when either repeat is missing, or when the capture ends
+    before first + period windows, so there is nothing to copy.
     """
-    if dilated is None or received.repeats is None or dilated % dec:
+    if dilated is None or received.repeats is None:
         return None
     start, period = received.repeats
-    if dilated % period:
-        return None
-    first = -(-start // dec)
-    return (first, dilated // dec) if first + dilated // dec < windows else None
+    first, period = -(-start // dec), math.lcm(dilated, period, dec) // dec
+    return (first, period) if first + period < windows else None
 
 
 def _one_pole(rows: np.ndarray, pole: float) -> np.ndarray:
@@ -415,18 +412,16 @@ def sliding_correlate(
     Slow-time tiling. When _dilated_samples gives Pd (a whole gamma and
     fs/alpha, no RX clock error), the RX code at sample n is the code at
     n mod Pd, on every route. If the received signal also states that it
-    repeats (received.repeats, from sample s with a period dividing Pd) and
-    Pd is a whole number D of windows, every product from sample s on
-    repeats every Pd samples, so the window sums repeat every D windows
-    from window ceil(s/dec) on. The block loop then stops after window
-    ceil(s/dec) + D, and tile_forward copies those D windows' sums over the
-    rest: einsum summed each window in one order, so the copies carry the
-    same bits. The noise, the filter recurrence and the sync row run after
-    the loop, on every window, as before. Otherwise (an RX clock error, a
-    fractional gamma or fs/alpha, Pd not a whole number of windows, a
-    period not dividing Pd, an input that states no repeat, or a capture
-    shorter than the head plus one period) the loop multiplies every whole
-    window.
+    repeats (received.repeats = (s, P)), every product from sample s on
+    repeats every lcm(Pd, P) samples, so the window sums repeat every
+    D = lcm(Pd, P, dec)/dec windows from window ceil(s/dec) on. The block
+    loop then stops after window ceil(s/dec) + D, and tile_forward copies
+    those D windows' sums over the rest: einsum summed each window in one
+    order, so the copies carry the same bits. The noise, the filter
+    recurrence and the sync row run after the loop, on every window, as
+    before. Otherwise (an RX clock error, a fractional gamma or fs/alpha,
+    an input that states no repeat, or a capture shorter than the head
+    plus one repeat) the loop multiplies every whole window.
     """
     if cfg.mode is not Mode.RX:
         raise ConfigError("sliding_correlate needs a config with mode=RX")

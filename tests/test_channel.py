@@ -27,7 +27,12 @@ from sounder_sim.channel import (
 from sounder_sim.errors import ConfigError, DelayExceedsDuration, InvalidSnr
 from sounder_sim.pn import ChipSequence, default_config, generate_period
 from sounder_sim.sounder import Mode, SounderConfig, tx_baseband
-from sounder_sim.waveform import SampledWaveform, chips_to_waveform, inject_jitter
+from sounder_sim.waveform import (
+    SampledWaveform,
+    chips_to_waveform,
+    inject_jitter,
+    power_spectrum,
+)
 
 
 @pytest.fixture()
@@ -491,6 +496,18 @@ class TestTiledRoute:
         out = apply_channel(pn_wave, ch)
         assert out.samples.tobytes() == reference_apply_channel(pn_wave, ch).tobytes()
         assert tilings == [] and out.repeats is None
+
+    def test_one_period_through_zero_shifts_states_its_period(self):
+        # the head is empty and one whole period follows it: the output
+        # repeats from sample 0, as its input does
+        w = chips_to_waveform(generate_period(default_config(5), chip_rate=1e6), 4)
+        out = apply_channel(w, identity_channel())
+        assert out.samples.tobytes() == reference_apply_channel(w, identity_channel()).tobytes()
+        assert out.repeats == (0, 124) and out.samples_per_period == 124
+        assert power_spectrum(out).line_spacing_hz == power_spectrum(w).line_spacing_hz
+        # one sample of shift leaves less than a whole period after the head
+        late = ChannelModel(paths=(PathSpec(delay_ns=250.0),))
+        assert apply_channel(w, late).repeats is None
 
     @settings(max_examples=100, deadline=None)
     @given(

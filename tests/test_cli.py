@@ -489,6 +489,30 @@ class TestSpectrumCommand:
         assert "Traceback" not in err
         assert not outdir.exists()
 
+    def test_waveform_and_its_fft_refused_before_the_waveform_is_built(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 31 chips x 4 samples x 10 periods = 1240 samples; memory for 40 B
+        # per sample holds the sampler's 24 B, not the spectrum's 48 B
+        cfg = write_json(
+            tmp_path / "cfg.json",
+            {"pn": {"stages": 5, "taps": [5, 3]},
+             "spectrum": {"chip_rate": "1 GHz", "samples_per_chip": 4, "periods": 10}},
+        )
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 1240 * 40}.get)
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("chips_to_waveform ran")
+
+        monkeypatch.setattr(cli, "chips_to_waveform", unreached)
+        outdir = tmp_path / "o"
+        code = main(["spectrum", "--config", cfg, "--out", str(outdir / "s.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: waveform of 1240 samples and its FFT needs")
+        assert len(err.splitlines()) == 1
+        assert not outdir.exists()
+
     def test_infinite_integer_setting_exits_2(self, tmp_path, capsys):
         # JSON's 1e999 loads as inf, which int() refuses with OverflowError
         cfg = tmp_path / "cfg.json"

@@ -775,8 +775,9 @@ def unstated(w):
 
 
 class TestSlowTiling:
-    """sliding_correlate copies the window sums after one dilated period
-    exactly when every product is known to repeat, and only then."""
+    """sliding_correlate copies the window sums after one repeat of them,
+    lcm(Pd, P, d) / d windows, exactly when every product is known to
+    repeat, and only then."""
 
     @pytest.mark.parametrize(
         "cfg,channel",
@@ -838,22 +839,46 @@ class TestSlowTiling:
         sliding_correlate(received, rx_cfg)
         assert slow_tilings == []
 
-    def test_dilated_period_not_whole_windows_takes_the_full_loop(self, slow_tilings):
+    def test_window_repeat_longer_than_the_capture_takes_the_full_loop(self, slow_tilings):
+        # d = 3: lcm(408800, 3) / 3 = 408800 windows, past the 333333 captured
         received, rx_cfg = sounded(desk_config(lpf_cutoff=4e6 / 24, capture=0.25))
         assert rx_cfg.decimation == 3 and 408800 % 3
         assert sounder_mod._dilated_samples(rx_cfg) == 408800
         sliding_correlate(received, rx_cfg)
         assert slow_tilings == []
 
-    def test_period_not_dividing_the_dilated_period_takes_the_full_loop(self, slow_tilings):
-        # a 127-chip code at 4 samples per chip repeats every 508 samples,
-        # which does not divide the 511-chip code's Pd of 408800
+    def test_product_repeat_longer_than_the_capture_takes_the_full_loop(self, slow_tilings):
+        # a 127-chip code at 4 samples per chip repeats every 508 samples;
+        # the products repeat every lcm(408800, 508) = 51917600 samples,
+        # past the 457200 captured
         rx_cfg = desk_config(mode=Mode.RX)
         seq = generate_period(default_config(7), chip_rate=1e6)
         received = chips_to_waveform(seq, 4, periods=900)
         assert received.repeats == (0, 508) and 408800 % 508
         sliding_correlate(received, rx_cfg)
         assert slow_tilings == []
+
+    def test_decimation_not_dividing_the_dilated_period_tiles_their_lcm(self, slow_tilings):
+        # d = 48 does not divide Pd = 408800 samples: the window sums repeat
+        # every lcm(408800, 48) / 48 = 25550 windows from window ceil(12 / 48)
+        received, rx_cfg = sounded(desk_config(lpf_cutoff=10.4e3, capture=0.32))
+        assert rx_cfg.decimation == 48 and 408800 % 48
+        assert received.repeats == (12, 2044)
+        tiled = sliding_correlate(received, rx_cfg)
+        assert slow_tilings == [(1, 25550)]
+        assert same_bits(tiled, sliding_correlate(unstated(received), rx_cfg))
+
+    def test_period_not_dividing_the_dilated_period_tiles_their_lcm(self, slow_tilings):
+        # a 3-chip code at 4 samples per chip repeats every 12 samples, which
+        # does not divide Pd = 408800: the window sums repeat every
+        # lcm(408800, 12, 50) / 50 = 24528 windows
+        rx_cfg = desk_config(mode=Mode.RX)
+        seq = generate_period(PnConfig(stages=2, taps=(2, 1)), chip_rate=1e6)
+        received = chips_to_waveform(seq, 4, periods=110000)
+        assert received.repeats == (0, 12) and 408800 % 12
+        tiled = sliding_correlate(received, rx_cfg)
+        assert slow_tilings == [(0, 24528)]
+        assert same_bits(tiled, sliding_correlate(unstated(received), rx_cfg))
 
     @pytest.mark.parametrize("source", ["jittered", "unframed", "replaced"])
     def test_input_stating_no_repeat_takes_the_full_loop(self, slow_tilings, source):
@@ -908,7 +933,6 @@ class TestSlowTiling:
         # or below 1 where that cutoff would not pass the 1 kHz envelope
         alpha = gamma * 1e3
         dilated = pn.length * gamma * m
-        dec = math.gcd(dec, dilated)
         lpf_cutoff = m * alpha / (8 * dec + 4)
         if lpf_cutoff <= 1e3:
             dec, lpf_cutoff = 1, m * alpha / 2
@@ -929,9 +953,9 @@ class TestSlowTiling:
             received, rx_cfg = sounded(cfg, channel)
             tiled = sliding_correlate(received, rx_cfg, channel)
             full = sliding_correlate(unstated(received), rx_cfg, channel)
-        first = -(-max(shifts) // dec)
+        first, repeat = -(-max(shifts) // dec), math.lcm(dilated, dec) // dec
         windows = len(received) // dec
-        assert calls == ([(first, dilated // dec)] if first + dilated // dec < windows else [])
+        assert calls == ([(first, repeat)] if first + repeat < windows else [])
         assert same_bits(tiled, full)
 
 
