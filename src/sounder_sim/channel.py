@@ -8,8 +8,8 @@ nearest sample; test fixtures keep them on the sample grid so quantization
 never moves a path by more than half a sample. An input that states it
 repeats bit for bit, so its output repeats from the last path's arrival
 on: when a whole period fits after it, apply_channel sums the paths only
-up to one period past it, tiles the rest (waveform.tile_forward) and
-states that repeat. The noise is complex
+up to one period past it and returns those samples as a waveform that
+states that repeat (waveform.repeating). The noise is complex
 circular Gaussian with variance set by snr_db relative to the strongest
 path's received power for a unit-power input (noise_std). apply_channel
 adds none: the receiver draws it, per decimation window (see
@@ -26,8 +26,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DelayExceedsDuration, InvalidSnr, finite_real, whole_count
-from .waveform import SampledWaveform, block_length, repeating, tile_forward
+from .errors import (
+    ConfigError,
+    DelayExceedsDuration,
+    InvalidSnr,
+    finite_real,
+    refuse_beyond_memory,
+    whole_count,
+)
+from .waveform import SampledWaveform, block_length, repeating
 
 
 def read_json_file(path, what: str):
@@ -265,8 +272,8 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
 
     Output has the input's length; each copy is shifted right by its delay
     rounded to the nearest sample (zero-fill at the head, tail truncated).
-    Paths are added block by block into the one output array. The channel's
-    noise is left to the receiver (sliding_correlate).
+    Paths are added block by block, reading the input through w.source.
+    The channel's noise is left to the receiver (sliding_correlate).
 
     An input that states it repeats with period P from sample s (repeats:
     every chips_to_waveform output and every tx_baseband output at a whole
@@ -274,10 +281,11 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
     last is the largest path shift: each output sample there takes the same
     operations on the same bits as the sample P before it. Whenever one
     whole period fits there (s + last + P <= n), the paths are summed only
-    up to s + last + P, the rest is copies of out[s + last:s + last + P]
-    (tile_forward), the same bytes at one copy's cost, and the output states
+    up to s + last + P, and the output stores just those samples and states
     repeats = (s + last, P): samples_per_period P when s + last is 0, else
-    None. Any other input is summed path by path and states nothing.
+    None. Any other input is summed path by path into all n samples and
+    states nothing. Either output, and the input's tiled copy that source
+    reads, is refused first if it cannot fit in memory.
     """
     n = len(w)
     shifted_gains = []
@@ -296,7 +304,10 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
     if w.repeats is not None and w.repeats[0] + last + w.repeats[1] <= n:
         repeats = (w.repeats[0] + last, w.repeats[1])
         summed = sum(repeats)
-    out = np.zeros(n, dtype=np.complex128)
+    refuse_beyond_memory(16 * (summed + w.source_copy(block)),
+                         f"channel output of {summed:.4g} samples")
+    read = w.source(block)
+    out = np.zeros(summed, dtype=np.complex128)
     scratch = np.empty(min(block, summed), dtype=np.complex128)
     for start in range(0, summed, block):
         stop = min(start + block, summed)
@@ -306,9 +317,8 @@ def apply_channel(w: SampledWaveform, ch: ChannelModel) -> SampledWaveform:
                 copy = scratch[: stop - lo]
                 # gain first, as in gain * x: SIMD complex products can
                 # differ in the last bit when the operands are swapped
-                np.multiply(gain, w.samples[lo - shift : stop - shift], out=copy)
+                np.multiply(gain, read(lo - shift, stop - lo), out=copy)
                 out[lo:stop] += copy
     if repeats is None:
         return SampledWaveform(out, w.sample_rate, w.samples_per_chip)
-    tile_forward(out, *repeats)
-    return repeating(out, w.sample_rate, w.samples_per_chip, repeats)
+    return repeating(out, w.sample_rate, w.samples_per_chip, repeats, n)

@@ -89,7 +89,7 @@ def cmd_spectrum(args) -> int:
     # before the waveform is built; through the module, as in _resolve_threads
     count = len(seq) * sp.samples_per_chip * sp.periods
     errors.refuse_beyond_memory(count * waveform._SPECTRUM_BYTES_PER_SAMPLE,
-                                f"waveform of {count:.4g} samples and its FFT")
+                                f"waveform of {errors.approx(count)} samples and its FFT")
     w = chips_to_waveform(seq, sp.samples_per_chip, sp.periods)
     ps = power_spectrum(w, fft_size=sp.fft_size)
     nulls = find_spectral_nulls(ps, count=sp.null_count)

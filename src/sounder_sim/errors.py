@@ -1,6 +1,7 @@
 """Exception types, the count and real-number rules every argument check uses,
 the memory refusal, and the read-only array rule."""
 
+import decimal
 import math
 import os
 
@@ -105,6 +106,15 @@ def finite_real(value, name: str, positive: bool = False, error=ConfigError) -> 
     return number
 
 
+def approx(number, unit: int = 1) -> str:
+    """number / unit to four significant digits, as %.4g; an int past the
+    float range too, which %.4g itself cannot format."""
+    try:
+        return f"{number / unit:.4g}"
+    except OverflowError:
+        return f"{decimal.Decimal(number) / unit:.4g}"
+
+
 def refuse_beyond_memory(nbytes: float, what: str) -> None:
     """Raise ConfigError if what, needing nbytes, exceeds physical memory.
 
@@ -115,7 +125,7 @@ def refuse_beyond_memory(nbytes: float, what: str) -> None:
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > memory:
         raise ConfigError(
-            f"{what} needs {nbytes / 2**30:.4g} GiB;"
+            f"{what} needs {approx(nbytes, 2**30)} GiB;"
             f" physical memory is {memory / 2**30:.4g} GiB"
         )
 

@@ -45,6 +45,7 @@ from .errors import (
     InvalidRates,
     NoSyncPeak,
     SampleRateMismatch,
+    approx,
     finite_real,
     freeze_arrays,
     read_only,
@@ -56,6 +57,7 @@ from .pn import ChipSequence, PnConfig, generate_period
 from .waveform import (
     SampledWaveform,
     block_length,
+    code_copy,
     code_source,
     periodic_code,
     ratio_to_db,
@@ -63,10 +65,11 @@ from .waveform import (
     tile_forward,
 )
 
-# The TX and received complex128 arrays are the only whole-capture arrays
-# live together. A tiled code period (code_source) takes at most 8 bytes per
-# sample: tx_baseband holds one beside its output, and the correlator at most
-# two beside the received array, once the TX array is gone.
+# An unframed TX (fractional fs/alpha) is sampled whole, so its TX and
+# received complex128 arrays are live together, 32 bytes per sample; the
+# code copies beside them are small (code_copy). A framed TX stores one
+# period, and so does every stage after it (waveform.repeating): the route
+# is charged its stored samples and source's tiled copy of them instead.
 _CAPTURE_BYTES_PER_SAMPLE = 32
 # The correlator's arrays per window, live while _one_pole steps a row: six
 # window sums (48 B), four noise normals (32 B), the recursion's 3 outputs
@@ -342,15 +345,11 @@ def _one_pole(rows: np.ndarray, pole: float) -> np.ndarray:
     return out
 
 
-def _capture_samples(samples: float, dec: int) -> int:
-    """round(samples), refused before allocation if they, or the correlator's
-    windows of dec samples over them, cannot fit."""
-    nbytes = samples * _CAPTURE_BYTES_PER_SAMPLE + samples / dec * _WINDOW_BYTES
-    refuse_beyond_memory(nbytes, f"capture of {samples:.4g} samples")
-    count = int(round(samples))
-    if count < 1:
-        raise ConfigError("capture too short for even one sample")
-    return count
+def _refuse_capture(samples: float, nbytes: float, dec: int) -> None:
+    """Refuse a capture of samples if nbytes, beside the correlator's
+    windows of dec samples over it, cannot fit."""
+    nbytes += samples / dec * _WINDOW_BYTES
+    refuse_beyond_memory(nbytes, f"capture of {approx(samples)} samples")
 
 
 def tx_baseband(cfg: SounderConfig) -> SampledWaveform:
@@ -359,18 +358,28 @@ def tx_baseband(cfg: SounderConfig) -> SampledWaveform:
     Chip k spans [k/alpha, (k+1)/alpha); sample n takes the chip at t = n/fs,
     so chip boundaries sit on the exact time grid for any fs >= 2*alpha. Only
     at a whole m = fs/alpha is the waveform framed in chips, and then it
-    states repeats = (0, L*m) (periodic_code). A capture is refused first if
-    it, or the correlator's windows over it, cannot fit in memory.
+    states repeats = (0, L*m) and stores that one period (periodic_code).
+    A capture is refused first if its samples, or at a whole m its stored
+    period, or the correlator's windows over it, cannot fit in memory.
     """
     if cfg.mode is not Mode.TX:
         raise ConfigError("tx_baseband needs a config with mode=TX")
-    count = _capture_samples(cfg.capture * cfg.sample_rate, cfg.decimation)
-    table = _bipolar_table(cfg.pn)
+    samples = cfg.capture * cfg.sample_rate
     m = cfg.sample_rate / cfg.alpha
     if m.is_integer():
+        # the stored period and apply_channel's tiled copy of it
+        period = min(samples, cfg.pn.length * m)
+        nbytes = 16 * (2 * period + block_length())
+    else:
+        nbytes = samples * _CAPTURE_BYTES_PER_SAMPLE
+    _refuse_capture(samples, nbytes, cfg.decimation)
+    count = int(round(samples))
+    if count < 1:
+        raise ConfigError("capture too short for even one sample")
+    table = _bipolar_table(cfg.pn)
+    if m.is_integer():
         return periodic_code(table, int(m), count, cfg.sample_rate)
-    samples = sample_code(table, cfg.alpha, cfg.sample_rate, count)
-    return SampledWaveform(samples, cfg.sample_rate)
+    return SampledWaveform(sample_code(table, cfg.alpha, cfg.sample_rate, count), cfg.sample_rate)
 
 
 def sliding_correlate(
@@ -386,8 +395,10 @@ def sliding_correlate(
     decimation consecutive filter outputs averages into one slow sample.
     The averaging is the anti-alias guard the one-pole filter alone cannot
     provide; plain subsampling would fold the filter's high-frequency tail
-    back into the slow band. A trailing partial window is dropped. An input
-    whose windows' arrays cannot fit in memory beside it is refused first.
+    back into the slow band. A trailing partial window is dropped. Every
+    block is read through received.source, so an input that repeats is
+    never built whole. An input whose windows' arrays, code copies and
+    source copy cannot fit in memory beside what it stores is refused first.
 
     The filtered samples themselves are never formed: each window's mean
     and final filter output are weighted sums of its products plus a
@@ -441,12 +452,18 @@ def sliding_correlate(
     fs = cfg.sample_rate
     dec = cfg.decimation
     weights, carry, pole_d = _window_weights(2.0 * math.pi * cfg.lpf_cutoff / fs, dec)
-    windows = _capture_samples(n_total, dec) // dec
+    windows = n_total // dec
     dilated = _dilated_samples(cfg)
     repeat = _window_repeat(received, dilated, dec, windows)
     multiplied = dec * (windows if repeat is None else sum(repeat))
     block = min(block_length(dec), multiplied)
     table = _bipolar_table(cfg.pn)
+    # the received samples held, source's copy of them, and both codes' copies
+    held = received.stored.size + received.source_copy(block)
+    codes = sum(code_copy(table.size, rate, fs, block, multiplied)
+                for rate in (cfg.alpha, cfg.beta_effective))
+    _refuse_capture(n_total, 16 * held + 8 * codes, dec)
+    read = received.source(block)
     rx_code = code_source(table, cfg.beta_effective, fs, block, multiplied)
     if dilated is not None:
         rx_code = _wrapped(rx_code, dilated)
@@ -460,7 +477,7 @@ def sliding_correlate(
     sums = np.empty((2, 3, windows))  # per window: sum A_k x_k, then sum B_k x_k
     for start in range(0, multiplied, block):
         count = min(block, multiplied - start)
-        x = received.samples[start : start + count]
+        x = read(start, count)
         rows = products[: 3 * count].reshape(3, count)
         rows[2] = rx_code(start, count)
         np.multiply(x.real, rows[2], out=rows[0])

@@ -9,6 +9,7 @@ bin and the sinc^2 envelope nulls collapse to numerical zero.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ from .errors import (
     ConfigError,
     InsufficientLength,
     JitterTooLarge,
+    approx,
     finite_real,
     freeze_arrays,
     read_only,
@@ -68,6 +70,18 @@ def tile_forward(array: np.ndarray, start: int, period: int) -> None:
         filled += copied
 
 
+def code_copy(size: int, rate: float, sample_rate: float, span: int, total: int) -> int:
+    """Samples in code_source's copy of a size-chip code table, 8 bytes each."""
+    samples_per_chip = sample_rate / rate
+    if samples_per_chip.is_integer():
+        return min(total, span + size * min(int(samples_per_chip), span) - 1)
+    # a call whose first chip sits at first % L <= L - 1 spans at most
+    # span * chips_per_sample + 1 more chips, the float64 rounding of both
+    # end products included while 2 * start + count < 2**53
+    reach = size + int(span * (rate / sample_rate)) + 1
+    return -(-reach // size) * size
+
+
 def code_source(table: np.ndarray, rate: float, sample_rate: float, span: int, total: int):
     """code(start, count): the bipolar code at samples start..start+count-1.
 
@@ -79,14 +93,15 @@ def code_source(table: np.ndarray, rate: float, sample_rate: float, span: int, t
     chips once m >= span, so a chip longer than run enters the copy run
     samples before its end. Otherwise n * (rate / sample_rate) is truncated
     in float64 (>= 0, so floor) to index a copy of the table repeated to
-    cover one call.
+    cover one call. code_copy gives either copy's length.
     """
+    copied = code_copy(table.size, rate, sample_rate, span, total)
     samples_per_chip = sample_rate / rate
     if samples_per_chip.is_integer():
         m = int(samples_per_chip)
         run = min(m, span)
         period = table.size * run
-        tiled = np.empty(min(total, span + period - 1))
+        tiled = np.empty(copied)
         head = min(period, tiled.size)
         tiled[:head] = table[np.arange(head) // run]
         tile_forward(tiled, 0, period)
@@ -101,11 +116,7 @@ def code_source(table: np.ndarray, rate: float, sample_rate: float, span: int, t
         return code
 
     chips_per_sample = rate / sample_rate
-    # a call whose first chip sits at first % L <= L - 1 spans at most
-    # span * chips_per_sample + 1 more chips, the float64 rounding of both
-    # end products included while 2 * start + count < 2**53
-    reach = table.size + int(span * chips_per_sample) + 1
-    repeated = np.tile(table, -(-reach // table.size))
+    repeated = np.tile(table, copied // table.size)
 
     def code(start: int, count: int) -> np.ndarray:
         n = np.arange(start, start + count, dtype=np.float64)
@@ -146,6 +157,10 @@ class SampledWaveform:
     and apply_channel's tiled route (from the last path's arrival); the
     constructor cannot, and replace resets it. ``samples_per_period`` is
     the period of a repeat from sample 0, else None.
+
+    A waveform that repeats stores only its first min(len, start + period)
+    samples (``stored``); ``samples`` tiles them over the whole length on
+    first use and keeps the result, and source() reads blocks without it.
     """
 
     samples: np.ndarray
@@ -160,13 +175,32 @@ class SampledWaveform:
         finite_real(self.sample_rate, "sample_rate", positive=True)
         if self.samples_per_chip is not None:
             whole_count(self.samples_per_chip, "samples_per_chip")
+        object.__setattr__(self, "stored", self.samples)
+        object.__setattr__(self, "_length", self.samples.size)
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: the samples of a
+        # waveform that repeats, until they are first built here
+        if name != "samples" or "stored" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        n = self._length
+        refuse_beyond_memory(16 * n, f"waveform of {approx(n)} samples")
+        vars(self)["samples"] = samples = self._tiled(n)
+        return samples
+
+    def _tiled(self, size: int) -> np.ndarray:
+        """The first size samples, as a read-only array tiled from stored."""
+        tiled = np.empty(size, dtype=np.complex128)
+        tiled[: self.stored.size] = self.stored
+        tile_forward(tiled, *self.repeats)
+        return read_only(tiled)
 
     def __len__(self) -> int:
-        return int(self.samples.size)
+        return self._length
 
     @property
     def duration(self) -> float:
-        return self.samples.size / self.sample_rate
+        return self._length / self.sample_rate
 
     @property
     def chip_rate(self) -> float | None:
@@ -178,11 +212,44 @@ class SampledWaveform:
         r = self.repeats
         return r[1] if r is not None and r[0] == 0 else None
 
+    def source_copy(self, span: int) -> int:
+        """Samples in source(span)'s copy, 16 bytes each."""
+        if self.repeats is None:
+            return 0
+        return min(self._length, sum(self.repeats) + span - 1)
 
-def repeating(samples, sample_rate, samples_per_chip, repeats) -> SampledWaveform:
-    """A SampledWaveform stating repeats; the caller made the samples repeat so."""
-    w = SampledWaveform(samples, sample_rate, samples_per_chip)
+    def source(self, span: int):
+        """read(start, count): samples[start:start + count], for count <= span.
+
+        A waveform that repeats (start s, period P) is read, as code_source
+        reads a code, from one read-only tiled copy of its first
+        min(len, s + P + span - 1) samples (source_copy): a read from s on
+        starts at s + (start - s) % P. Any other waveform is read from its
+        samples.
+        """
+        if self.repeats is None:
+            samples = self.samples
+            return lambda start, count: samples[start : start + count]
+        first, period = self.repeats
+        tiled = self._tiled(self.source_copy(span))
+
+        def read(start: int, count: int) -> np.ndarray:
+            if start > first:
+                start = first + (start - first) % period
+            return tiled[start : start + count]
+
+        return read
+
+
+def repeating(stored, sample_rate, samples_per_chip, repeats, length) -> SampledWaveform:
+    """A waveform of length samples stating repeats, holding only the first
+    min(length, start + period) of them, stored; the caller made them repeat so."""
+    if length > sys.maxsize:
+        raise ConfigError(f"waveform of {approx(length)} samples is too long to index")
+    w = SampledWaveform(stored, sample_rate, samples_per_chip)
+    del vars(w)["samples"]
     object.__setattr__(w, "repeats", repeats)
+    object.__setattr__(w, "_length", length)
     return w
 
 
@@ -228,9 +295,12 @@ def periodic_code(
     """count samples of the code table at a whole m samples per chip.
 
     Sample n carries chip (n // m) mod L, so the samples repeat bit for bit
-    every L * m samples from sample 0, as the result's repeats states.
+    every L * m samples from sample 0, as the result's repeats states; only
+    the first period is sampled and stored.
     """
-    return repeating(sample_code(table, 1.0, m, count), sample_rate, m, (0, table.size * m))
+    period = table.size * m
+    stored = sample_code(table, 1.0, m, min(count, period))
+    return repeating(stored, sample_rate, m, (0, period), count)
 
 
 def chips_to_waveform(
@@ -243,8 +313,10 @@ def chips_to_waveform(
     """
     m = whole_count(samples_per_chip, "samples_per_chip")
     count = len(seq) * m * whole_count(periods, "periods")
-    # the complex128 samples and the sampler's tiled period are live together
-    refuse_beyond_memory(count * 24, f"waveform of {count:.4g} samples")
+    # the stored complex128 period and the sampler's tiled copy of it are
+    # live together
+    period = len(seq) * m
+    refuse_beyond_memory(period * 24, f"waveform period of {approx(period)} samples")
     return periodic_code(seq.bipolar(), m, count, seq.chip_rate * m)
 
 

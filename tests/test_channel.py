@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sounder_sim.channel as channel_mod
 import sounder_sim.waveform as waveform_mod
 from sounder_sim.channel import (
     ChannelModel,
@@ -389,19 +388,6 @@ class TestApplyChannel:
         )
 
 
-@pytest.fixture()
-def tilings(monkeypatch):
-    """The (start, period) of every tile_forward call apply_channel makes."""
-    calls = []
-
-    def spy(array, start, period):
-        calls.append((start, period))
-        waveform_mod.tile_forward(array, start, period)
-
-    monkeypatch.setattr(channel_mod, "tile_forward", spy)
-    return calls
-
-
 def periodic_input(source, block):
     """A waveform that states its period, two blocks and a partial one long.
 
@@ -432,7 +418,7 @@ class TestTiledRoute:
         ids=["zero", "within-period", "beyond-period", "beyond-block", "all"],
     )
     def test_periodic_input_is_tiled_to_the_same_bytes(
-        self, monkeypatch, tilings, source, block, snr_db, shifts
+        self, monkeypatch, source, block, snr_db, shifts
     ):
         if block is not None:
             monkeypatch.setattr(waveform_mod, "BLOCK", block)
@@ -452,10 +438,12 @@ class TestTiledRoute:
             rng_seed=4,
         )
         out = apply_channel(w, ch)
+        # the paths are summed over the head and one period, and only those
+        # samples are stored
+        assert out.stored.size == max(shifts) + period and "samples" not in vars(out)
+        assert out.repeats == (max(shifts), period)
         quiet = dataclasses.replace(ch, snr_db=None)
         assert out.samples.tobytes() == reference_apply_channel(w, quiet).tobytes()
-        assert tilings == [(max(shifts), period)]
-        assert out.repeats == (max(shifts), period)
         # every path at shift 0 repeats from sample 0; a zero-filled head does not
         assert out.samples_per_period == (period if max(shifts) == 0 else None)
 
@@ -475,7 +463,7 @@ class TestTiledRoute:
         return dataclasses.replace(w, samples=samples)
 
     @pytest.mark.parametrize("snr_db", [None, 15.0])
-    def test_non_repeating_input_sums_every_path(self, tilings, non_repeating, snr_db):
+    def test_non_repeating_input_sums_every_path(self, non_repeating, snr_db):
         w = non_repeating
         assert w.samples_per_period is None
         ch = ChannelModel(
@@ -485,17 +473,17 @@ class TestTiledRoute:
             rng_seed=4,
         )
         out = apply_channel(w, ch)
+        assert out.repeats is None and out.stored.size == len(w)
         quiet = dataclasses.replace(ch, snr_db=None)
         assert out.samples.tobytes() == reference_apply_channel(w, quiet).tobytes()
-        assert tilings == [] and out.repeats is None
 
-    def test_period_past_the_end_sums_every_path(self, tilings, pn_wave):
+    def test_period_past_the_end_sums_every_path(self, pn_wave):
         # two periods, and the last path arrives after the first: no whole
         # period is left to repeat
         ch = ChannelModel(paths=(PathSpec(delay_ns=0.0), PathSpec(delay_ns=600.0)))
         out = apply_channel(pn_wave, ch)
+        assert out.repeats is None and out.stored.size == len(pn_wave)
         assert out.samples.tobytes() == reference_apply_channel(pn_wave, ch).tobytes()
-        assert tilings == [] and out.repeats is None
 
     def test_one_period_through_zero_shifts_states_its_period(self):
         # the head is empty and one whole period follows it: the output
@@ -539,7 +527,7 @@ class TestTiledRoute:
             bits = out.samples[start:].view(np.dtype((np.uint64, 2)))
             assert np.array_equal(bits[period:], bits[: bits.shape[0] - period])
 
-    def test_output_that_repeats_tiles_again_from_its_own_start(self, tilings):
+    def test_output_that_repeats_tiles_again_from_its_own_start(self):
         # a second channel on a tiled output: the repeat starts at the sum
         # of the two channels' last shifts, and the bytes are the per-path sum
         seq = generate_period(default_config(7), chip_rate=1e6)
@@ -551,5 +539,6 @@ class TestTiledRoute:
         once = apply_channel(w, first)
         twice = apply_channel(once, second)
         assert once.repeats == (42, 381) and twice.repeats == (342, 381)
-        assert tilings == [(42, 381), (342, 381)]
+        assert once.stored.size == 42 + 381 and twice.stored.size == 342 + 381
+        assert "samples" not in vars(once) and "samples" not in vars(twice)
         assert twice.samples.tobytes() == reference_apply_channel(once, second).tobytes()

@@ -12,6 +12,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -475,18 +476,21 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 2
 
     @pytest.mark.parametrize("field", ["samples_per_chip", "periods"])
-    def test_waveform_beyond_physical_memory_exits_2(self, tmp_path, capsys, field):
+    # a 401-digit JSON integer is a count past the float range: the refusal
+    # formats it without a float
+    @pytest.mark.parametrize("value", [1e12, 10**400], ids=["1e12", "401-digits"])
+    def test_waveform_beyond_physical_memory_exits_2(self, tmp_path, capsys, field, value):
         cfg = write_json(
             tmp_path / "cfg.json",
             {"pn": {"stages": 11, "taps": [11, 8, 5, 2]},
-             "spectrum": {"chip_rate": "1 GHz", field: 1e12}},
+             "spectrum": {"chip_rate": "1 GHz", field: value}},
         )
         outdir = tmp_path / "o"
         code = main(["spectrum", "--config", cfg, "--out", str(outdir / "s.csv")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: waveform of") and "physical memory" in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and err.count("\n") == 1
         assert not outdir.exists()
 
     def test_waveform_and_its_fft_refused_before_the_waveform_is_built(
@@ -754,6 +758,55 @@ class TestSoundCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: capture of 1e+06 samples needs") and err.count("\n") == 1
         assert not any(outdir.iterdir())
+
+    def test_framed_capture_beyond_32_bytes_per_sample_runs(self, tmp_path, monkeypatch):
+        # the README desk capture: 2,146,200 samples would take 68.7 MB at
+        # 32 B each, more than the claimed 64 MiB; at 4 samples per chip the
+        # chain stores one 2044-sample period, and the run completes
+        cfg = write_json(tmp_path / "desk.json", README_DESK)
+        channel = write_json(tmp_path / "channel.json", README_CHANNEL)
+        tx_cfg = load_config(cfg).sounder_config(Mode.TX)
+        assert tx_cfg.capture * tx_cfg.sample_rate * 32 > FUZZ_MEMORY
+        monkeypatch.setattr(os, "sysconf", small_memory_sysconf(os.sysconf))
+        outdir = tmp_path / "o"
+        assert main(["sound", "--config", cfg, "--channel", channel, "--out", str(outdir)]) == 0
+        assert (outdir / "paths.csv").read_text().splitlines()[-1] == "3000,-6.88286743548,0"
+
+    def test_unframed_capture_beyond_memory_exits_2_before_tx(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the same capture at 4.3 MHz: 4.3 samples per chip are sampled
+        # whole, 32 B per sample, and that is refused before sampling
+        doc = json.loads(json.dumps(README_DESK))
+        doc["sounder"]["sample_rate"] = "4.3 MHz"
+        cfg = write_json(tmp_path / "desk.json", doc)
+
+        def build(*args):
+            raise AssertionError("the TX waveform was built")
+
+        monkeypatch.setattr(os, "sysconf", small_memory_sysconf(os.sysconf))
+        monkeypatch.setattr(sounder_mod, "sample_code", build)
+        outdir = tmp_path / "o"
+        assert main(["sound", "--config", cfg, "--out", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: capture of 2.307e+06 samples needs") and err.count("\n") == 1
+        assert not any(outdir.iterdir())
+
+    def test_framed_sound_never_builds_the_capture(self, tmp_path):
+        # the README desk run traced: no array near the capture's
+        # 16 B per sample is ever live
+        cfg = write_json(tmp_path / "desk.json", README_DESK)
+        channel = write_json(tmp_path / "channel.json", README_CHANNEL)
+        tx_cfg = load_config(cfg).sounder_config(Mode.TX)
+        tracemalloc.start()
+        try:
+            code = main(["sound", "--config", cfg, "--channel", channel,
+                         "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 16 * tx_cfg.capture * tx_cfg.sample_rate
 
     @pytest.mark.parametrize("floor_db", ["-inf", "inf", "nan"])
     def test_non_finite_floor_exits_2(self, tmp_path, capsys, floor_db):

@@ -1227,3 +1227,54 @@ class TestPdpProfile:
         fields[field] = value
         with pytest.raises(ConfigError):
             PdpProfile(**fields)
+
+
+class TestCompactInput:
+    """sliding_correlate reads a compact received signal block by block
+    (received.source) and never builds its samples; the trace has the bits
+    of the same samples built whole, on the tiled route and the full loop."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        pn=st.sampled_from([PnConfig(stages=3, taps=(3, 2)), default_config(5)]),
+        gamma=st.integers(2, 30),
+        m=st.integers(2, 4),
+        dec=st.integers(1, 9),
+        periods=st.floats(1.05, 3.0),
+        ppm=st.sampled_from([0.0, 10.0, -250.0]),
+        shifts=st.lists(st.integers(0, 300), min_size=1, max_size=3),
+        snr_db=st.one_of(st.none(), st.floats(0.0, 40.0)),
+        block=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_compact_and_built_inputs_give_the_same_bits(
+        self, pn, gamma, m, dec, periods, ppm, shifts, snr_db, block, seed
+    ):
+        # as in test_random_configs_tile_to_the_full_loop_bytes, with an RX
+        # clock error that sends both inputs through the full loop
+        alpha = gamma * 1e3
+        lpf_cutoff = m * alpha / (8 * dec + 4)
+        if lpf_cutoff <= 1e3:
+            dec, lpf_cutoff = 1, m * alpha / 2
+        cfg = SounderConfig(pn=pn, alpha=alpha, beta=alpha - 1e3, sample_rate=m * alpha,
+                            lpf_cutoff=lpf_cutoff, beta_ppm_error=ppm,
+                            capture=periods * pn.length * gamma / alpha)
+        rng = np.random.default_rng(seed)
+        sample_ns = 1e9 / cfg.sample_rate
+        # every path arrives at least one TX period before the end, so the
+        # received signal states its repeat and stores only head and period
+        last_shift = round(cfg.capture * cfg.sample_rate) - pn.length * m
+        shifts = [k % (last_shift + 1) for k in shifts]
+        channel = ChannelModel(
+            paths=tuple(PathSpec(delay_ns=k * sample_ns, gain_db=float(rng.uniform(-20, 0)),
+                                 phase_deg=float(rng.uniform(0, 360))) for k in shifts),
+            snr_db=snr_db, rng_seed=int(rng.integers(0, 2**31)),
+        )
+        received, rx_cfg = sounded(cfg, channel)
+        assert received.repeats == (max(shifts), pn.length * m)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(waveform_mod, "BLOCK", block)
+            compact = sliding_correlate(received, rx_cfg, channel)
+        assert "samples" not in vars(received)
+        built = sliding_correlate(unstated(received), rx_cfg, channel)
+        assert same_bits(compact, built)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sounder_sim.waveform as waveform_mod
 from sounder_sim.channel import ChannelModel, PathSpec, apply_channel
 from sounder_sim.errors import ConfigError, InsufficientLength, JitterTooLarge
 from sounder_sim.pn import ChipSequence, default_config, generate_period
@@ -202,6 +203,80 @@ class TestStatedPeriod:
             SampledWaveform(w.samples, w.sample_rate, 2, repeats=(0, 4094))
         with pytest.raises(ValueError, match="repeats"):
             dataclasses.replace(w, repeats=(0, 4094))
+
+
+class TestCompactStorage:
+    """A waveform that states repeats = (s, P) stores its first s + P samples;
+    samples tiles them on first use, and source reads blocks without it."""
+
+    @pytest.mark.parametrize("periods", [1, 3, 1000])
+    def test_length_and_period_need_no_samples(self, seq11, periods):
+        w = chips_to_waveform(seq11, 3, periods)
+        assert len(w) == 2047 * 3 * periods and w.duration == len(w) / w.sample_rate
+        assert w.repeats == (0, 2047 * 3) and w.samples_per_period == 2047 * 3
+        assert w.stored.size == 2047 * 3 and "samples" not in vars(w)
+
+    def test_tx_baseband_stores_one_period(self):
+        cfg = SounderConfig(pn=default_config(5), alpha=1e6, beta=0.995e6,
+                            sample_rate=4e6, capture=0.01, mode=Mode.TX)
+        tx = tx_baseband(cfg)
+        assert len(tx) == 40000 and tx.stored.size == 124 and "samples" not in vars(tx)
+
+    @pytest.mark.parametrize("m,periods", [(1, 1), (3, 2), (4, 7)])
+    def test_samples_equal_the_eager_build(self, seq11, m, periods):
+        w = chips_to_waveform(seq11, m, periods)
+        eager = waveform_mod.sample_code(seq11.bipolar(), 1.0, m, len(w))
+        assert w.samples.tobytes() == eager.tobytes()
+        assert w.samples is w.samples and not w.samples.flags.writeable  # built once
+        # a capture shorter than its period stores what it holds
+        short = waveform_mod.periodic_code(seq11.bipolar(), m, 1000, 1e9)
+        assert short.stored.size == 1000 and short.samples.tobytes() == eager[:1000].tobytes()
+
+    def test_replace_builds_an_eager_copy(self, seq11):
+        w = chips_to_waveform(seq11, 2, 3)
+        moved = dataclasses.replace(w, sample_rate=1e6)
+        assert moved.repeats is None and moved.sample_rate == 1e6 and len(moved) == len(w)
+        assert moved.samples.tobytes() == w.samples.tobytes()
+        assert moved.stored is moved.samples
+
+    def test_building_the_samples_is_refused_beyond_memory(self, seq11, monkeypatch):
+        w = chips_to_waveform(seq11, 2, 10)
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": len(w) * 15}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        with pytest.raises(ConfigError, match=r"^waveform of 4\.094e\+04 samples needs"):
+            w.samples
+        assert "samples" not in vars(w)
+
+    def test_length_beyond_an_index_is_refused(self, seq11):
+        with pytest.raises(ConfigError, match="too long to index"):
+            chips_to_waveform(seq11, 2, 2**62)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        chips=st.integers(1, 40),
+        m=st.integers(1, 4),
+        periods=st.integers(1, 6),
+        delay=st.integers(0, 200),
+        span=st.integers(1, 300),
+        reads=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 300)), max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_source_reads_the_samples(self, chips, m, periods, delay, span, reads, seed):
+        rng = np.random.default_rng(seed)
+        seq = ChipSequence(chips=rng.integers(0, 2, chips, dtype=np.uint8), chip_rate=1e9)
+        w = chips_to_waveform(seq, m, periods)
+        if delay < len(w):
+            # a head that is not part of the repeat
+            w = apply_channel(w, ChannelModel(paths=(
+                PathSpec(delay_ns=0.0), PathSpec(delay_ns=delay / m, gain_db=-3.0))))
+        read = w.source(span)
+        samples = w.samples
+        for start, count in reads:
+            count = min(count, span)
+            start %= len(w) - count + 1 if count <= len(w) else 1
+            count = min(count, len(w) - start)
+            got = read(start, count)
+            assert got.tobytes() == samples[start : start + count].tobytes()
 
 
 class TestPowerSpectrum:
