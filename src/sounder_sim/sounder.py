@@ -8,9 +8,11 @@ trace (local TX code times RX code) that marks the zero-delay reference.
 The filter and the integrate-and-dump that follows it are evaluated in
 closed form per decimation window: beyond the mixer products, the correlator
 forms two weighted sums of each window's products, with no per-sample
-filter pass. The filter state then steps once per window, in Python floats
-and in lfilter's order, so its bits are the direct-form filter's; numpy is
-the only library the package needs.
+filter pass. The filter state then steps once per window, in lanes of
+windows that numpy steps side by side. Each lane's state is checked, as a
+bit pattern, against its predecessor's exact state, and a lane that fails
+is stepped again in Python floats, so every state has the bits of the
+direct-form filter (lfilter); numpy is the only library the package needs.
 
 The relative code slip sweeps one full code period every dilated_period
 L*gamma/alpha seconds, with gamma = alpha/(alpha - beta); a true propagation
@@ -71,12 +73,13 @@ from .waveform import (
 # period, and so does every stage after it (waveform.repeating): the route
 # is charged its stored samples and source's tiled copy of them instead.
 _CAPTURE_BYTES_PER_SAMPLE = 32
-# The correlator's arrays per window, live while _one_pole steps a row: six
-# window sums (48 B), four noise normals (32 B), the recursion's 3 outputs
-# (24 B), and one row as an input and an output list of Python floats (2 x
-# (8 + 24) B) plus the array numpy builds from the latter (8 B). Measured
-# 172-175 B of peak RSS per window at decimation 1 (N=9, gamma 10, 20 dB).
-_WINDOW_BYTES = 176
+# The correlator's arrays per window, live while the carry term joins the
+# means: six window sums (48 B), four noise normals (32 B), the recursion's
+# 3 states (24 B) and the carry term (24 B). _one_pole's lanes add a few
+# states per lane, not per window. At decimation 1 (N=9, gamma 10, 20 dB)
+# each added window raised the tracemalloc peak by 128 B and the peak RSS
+# by 136 B.
+_WINDOW_BYTES = 144
 
 
 class Mode(enum.Enum):
@@ -332,16 +335,82 @@ def _window_repeat(
     return (first, period) if first + period < windows else None
 
 
+def _lane_length(pole: float) -> int:
+    """Windows per lane: enough that pole**W <= 2**-64, so a state started
+    W windows early from 0 has, in all but rare rows, forgotten the state it
+    missed to below half an ulp of its own. Only a guess; _one_pole checks.
+    0 at a pole of 1 or more, whose states never forget."""
+    if not pole < 1.0:
+        return 0
+    if pole <= 0.0:
+        return 1
+    return max(1, math.ceil(64.0 / -math.log2(pole)))
+
+
+def _float_walk(xs: np.ndarray, pole: float, y: float) -> list:
+    """The states after each of xs, stepped in Python floats from state y."""
+    ys = []
+    for x in xs.tolist():
+        y = x + pole * y
+        ys.append(y)
+    return ys
+
+
 def _one_pole(rows: np.ndarray, pole: float) -> np.ndarray:
-    """y[w] = rows[w] + pole*y[w-1] along each row from y[-1] = 0, in Python
-    floats, a row at a time: for finite input, lfilter([1], [1, -pole])'s steps in its order."""
-    out = np.empty_like(rows)
-    for dest, row in zip(out, rows):
-        y, ys = 0.0, []
-        for x in row.tolist():
-            y = x + pole * y
-            ys.append(y)
-        dest[:] = ys
+    """y[w] = rows[w] + pole*y[w-1] along each row from y[-1] = 0.
+
+    Each step is x + pole*y: one rounded product, then one rounded sum, so
+    for finite input the bits are lfilter([1], [1, -pole])'s. Each row is cut
+    into lanes of W = _lane_length(pole) windows, and every lane of every
+    row steps together, two in-place ufuncs per window: the same two
+    roundings in numpy. Lane j > 0 starts from state 0 at the start of lane
+    j - 1 and warms up over its W windows; once its state at the last of
+    them has the bits (a uint64 view, so that -0.0 and 0.0 differ) of lane
+    j - 1's exact state there, every later step of lane j is exact too.
+    Lane 0 starts at window 0 from 0, so it is exact. A lane whose check
+    fails is stepped again in Python floats from its predecessor's exact
+    state, as are the windows after the last whole lane, a row shorter
+    than two lanes and every row at a pole of 1 or more.
+    """
+    n_rows, length = rows.shape
+    out = np.empty((n_rows, length))  # C order: y below is a view of it
+    width = _lane_length(pole)
+    lanes = length // width if width else 0
+    if lanes < 2:
+        for dest, row in zip(out, rows):
+            dest[:] = _float_walk(row, pole, 0.0)
+        return out
+    whole = lanes * width
+    x = rows[:, :whole].reshape(n_rows, lanes, width)
+    y = out[:, :whole].reshape(n_rows, lanes, width)
+    # warm[:, j]: lane j + 1's state stepped from 0 over lane j's windows
+    warm = np.zeros((n_rows, lanes - 1))
+    for k in range(width):
+        np.multiply(warm, pole, out=warm)
+        np.add(x[:, :-1, k], warm, out=warm)
+    state = np.zeros((n_rows, lanes))
+    state[:, 1:] = warm
+    step = state
+    for k in range(width):
+        np.multiply(step, pole, out=state)
+        np.add(x[:, :, k], state, out=y[:, :, k])
+        step = y[:, :, k]
+    # lane j + 1 is exact when warm[:, j] has the bits of lane j's exact end
+    warm, ends = warm.view(np.uint64), y[:, :, -1].view(np.uint64)
+    unsettled = warm != ends[:, :-1]
+    for row in range(n_rows):
+        exact = 1  # the lanes below this one hold exact states
+        for lane in (np.flatnonzero(unsettled[row]) + 1).tolist():
+            if lane < exact:
+                continue
+            # a repaired lane's end may unsettle the lane after it
+            while True:
+                y[row, lane] = _float_walk(x[row, lane], pole, float(y[row, lane - 1, -1]))
+                lane += 1
+                if lane == lanes or warm[row, lane - 1] == ends[row, lane - 1]:
+                    break
+            exact = lane + 1
+        out[row, whole:] = _float_walk(rows[row, whole:], pole, float(y[row, -1, -1]))
     return out
 
 
@@ -404,8 +473,11 @@ def sliding_correlate(
     and final filter output are weighted sums of its products plus a
     multiple of the state before it (_window_weights), so the products meet
     the weights in one einsum per block and the filter recurrence runs at
-    the slow rate, once over all windows, in Python floats and in lfilter's
-    order, so its bits are kept (_one_pole). einsum sums each window in one
+    the slow rate, once over all windows (_one_pole): numpy steps lanes of
+    windows side by side, each lane started early from state 0; a lane
+    whose warm-up state differs, as a bit pattern, from its predecessor's
+    exact state is stepped again in Python floats from that state, so every
+    state has lfilter's bits. einsum sums each window in one
     order whatever else the block holds; a BLAS product may change its
     summation with the number of rows and so with the block size. Blocks
     are cut at window boundaries, so block size cannot change results.

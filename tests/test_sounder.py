@@ -10,6 +10,7 @@ cyclic-correlation oracle, never by the streaming code under test.
 import dataclasses
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,56 @@ def window_pole(cfg):
     """The filter's pole per window, which sliding_correlate steps its state by."""
     omega = 2.0 * math.pi * cfg.lpf_cutoff / cfg.sample_rate
     return sounder_mod._window_weights(omega, cfg.decimation)[2]
+
+
+def python_walk(rows, pole):
+    """y[w] = rows[w] + pole*y[w-1] from y[-1] = 0, one Python float at a time."""
+    out = []
+    for row in rows.tolist():
+        y, ys = 0.0, []
+        for x in row:
+            y = x + pole * y
+            ys.append(y)
+        out.append(ys)
+    return np.array(out)
+
+
+def signed_zero_rows(length):
+    """Rows of signed zeros among -1.0 and -5e-324. Where two -0.0 follow
+    a negative state (rows 2 and 3), the exact state stays -0.0, while a
+    lane's warm-up from 0 over the first of them reaches +0.0."""
+    rows = np.zeros((4, length))
+    rows[0] = -0.0
+    rows[0, 1::2] = -1.0
+    rows[1, ::3] = -5e-324
+    rows[2] = -0.0
+    rows[2, ::4] = -1.0
+    rows[3] = -0.0
+    rows[3, ::3] = -5e-324
+    return rows
+
+
+def decaying_rows(length):
+    """Rows of zeros with a large value every 5000 windows."""
+    rows = np.zeros((3, length))
+    rows[0, ::5000] = 1e300
+    rows[1, 100::5000] = -1e300
+    rows[2, 3::5000] = 5e-324
+    return rows
+
+
+@pytest.fixture()
+def float_walks(monkeypatch):
+    """The length of every _float_walk call that _one_pole makes."""
+    calls = []
+    walk = sounder_mod._float_walk
+
+    def spy(xs, pole, y):
+        calls.append(len(xs))
+        return walk(xs, pole, y)
+
+    monkeypatch.setattr(sounder_mod, "_float_walk", spy)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -514,7 +565,8 @@ class TestSlidingCorrelate:
         window_pole(desk_config(pn=default_config(11))),
         window_pole(SounderConfig(pn=default_config(6), alpha=1e9, beta=999.95e6)),
     ])
-    @pytest.mark.parametrize("length", [1, 7, 3000])
+    # 10007 and 171948 (desk-n11's windows) span many lanes and a remainder
+    @pytest.mark.parametrize("length", [1, 7, 3000, 10007, 171948])
     def test_window_recursion_has_the_direct_form_filters_bits(self, pole, length):
         # plain, subnormal-bound and huge rows, and one of signed zeros
         rng = np.random.default_rng(length)
@@ -524,6 +576,68 @@ class TestSlidingCorrelate:
         got = sounder_mod._one_pole(rows, pole)
         want = lfilter([1.0], [1.0, -pole], rows, axis=-1)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("pole, rows", [
+        # at a pole of 0 or 1e-300 a lane is one window long and its warm-up
+        # state +0.0 where the exact state is -0.0; -0.0 + pole*(+0.0) is
+        # +0.0, so a check by == would leave a wrong sign bit
+        (pole, signed_zero_rows(10007)) for pole in (0.0, 1e-300)
+    ] + [
+        # a large value, then zeros: the exact state decays for about 1800
+        # windows, while a lane's warm-up state stays 0 and never meets it
+        (window_pole(desk_config(pn=default_config(11))), decaying_rows(10007)),
+    ], ids=["signed-zeros-pole-0", "signed-zeros-pole-1e-300", "zeros-after-1e300"])
+    def test_window_recursion_repairs_lanes_that_cannot_merge(self, pole, rows, float_walks):
+        got = sounder_mod._one_pole(rows, pole)
+        # one walk per row covers the windows after the last whole lane;
+        # every further walk repaired a lane
+        assert len(float_walks) > len(rows)
+        want = lfilter([1.0], [1.0, -pole], rows, axis=-1)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), python_walk(rows, pole).view(np.uint64))
+
+    def test_lanes_step_all_but_a_few_windows(self, float_walks):
+        # desk-n11's rows and pole: the lanes settle, and Python floats step
+        # the windows after the last whole lane and few repaired lanes
+        pole = window_pole(desk_config(pn=default_config(11)))
+        rows = np.random.default_rng(11).standard_normal((3, 171948))
+        sounder_mod._one_pole(rows, pole)
+        assert sum(float_walks) < 0.01 * rows.size
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pole=st.floats(0.0, 1.0, exclude_max=True),
+        length=st.integers(1, 4000),
+        exponents=st.lists(st.integers(-323, 250), min_size=3, max_size=3),
+        zero_every=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_window_recursion_matches_a_python_float_walk(
+        self, pole, length, exponents, zero_every, seed
+    ):
+        rows = np.random.default_rng(seed).standard_normal((3, length))
+        rows *= 10.0 ** np.array(exponents, dtype=np.float64)[:, None]
+        rows[:, ::zero_every] *= 0.0  # zeros that keep their sign
+        got = sounder_mod._one_pole(rows, pole)
+        assert np.array_equal(got.view(np.uint64), python_walk(rows, pole).view(np.uint64))
+
+    def test_window_arrays_stay_within_their_charge(self):
+        # decimation 1 and a noisy channel: each window the capture adds
+        # raises the tracemalloc peak by no more than the refusal charges
+        def peak(capture):
+            cfg = SounderConfig(pn=PN9, alpha=1e6, beta=0.9e6, capture=capture, mode=Mode.TX)
+            received = tx_baseband(cfg)
+            noisy = ChannelModel(paths=(PathSpec(delay_ns=0.0),), snr_db=20.0, rng_seed=3)
+            tracemalloc.start()
+            try:
+                sliding_correlate(received, dataclasses.replace(cfg, mode=Mode.RX), noisy)
+                return tracemalloc.get_traced_memory()[1], len(received)
+            finally:
+                tracemalloc.stop()
+
+        (small, fewer), (large, more) = peak(0.05), peak(0.1)
+        assert more == 2 * fewer == 200000
+        assert large - small <= (more - fewer) * sounder_mod._WINDOW_BYTES
 
     def test_block_size_does_not_change_results(self, desk, monkeypatch, slow_tilings):
         cfg, _, rx_cfg = desk
